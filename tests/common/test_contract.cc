@@ -139,8 +139,7 @@ forceLinkage()
     Cache l1(CacheParams{}, stats);              // cache.cc
     RtUnit rtu(RtUnitParams{}, l1, stats);       // rtunit.cc
     const PointSet pts = test::randomCloud(64, 4, 7);
-    const HnswGraph g =
-        HnswGraph::build(pts, Metric::Euclidean); // graph.cc
+    const HnswGraph g = HnswGraph::build(pts, Metric::Euclidean);
     const GgnnKernel kernel(g, GgnnConfig{});     // ggnn.cc
     (void)kernel;
     GpuConfig cfg;                               // gpu.cc
@@ -158,7 +157,6 @@ TEST(AuditRegistry, KnownSourcesAreRegistered)
         "cache.cc:mshr_",
         "rtunit.cc:pendingLines_",
         "ggnn.cc:visited",
-        "graph.cc:visited",
         "runner.cc:runJobsParallel",
         "gpu.cc:mergeSmStats",
     };
