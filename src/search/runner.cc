@@ -1,17 +1,20 @@
 #include "search/runner.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <deque>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <iomanip>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <sstream>
 #include <tuple>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -23,6 +26,7 @@
 #include "common/logging.hh"
 #include "common/memo.hh"
 #include "common/phase_timer.hh"
+#include "common/rng.hh"
 #include "common/threadpool.hh"
 #include "geom/morton.hh"
 #include "search/btree_kernel.hh"
@@ -296,6 +300,25 @@ pickRadius(const PointSet &points, std::uint64_t seed)
     return 2.0f * nn[nn.size() / 2];
 }
 
+std::string
+indexCacheStem(const DatasetInfo &info, const std::string &kind,
+               std::initializer_list<std::uint64_t> builder)
+{
+    // Bump when the serialized layout or the dataset generators change,
+    // which the other inputs cannot see.
+    constexpr std::uint64_t kFormatVersion = 1;
+    std::uint64_t h = deriveSeed(kFormatVersion, info.seed);
+    h = deriveSeed(h, info.simPoints);
+    h = deriveSeed(h, info.dim);
+    h = deriveSeed(h, builder.size());
+    for (const std::uint64_t v : builder)
+        h = deriveSeed(h, v);
+    std::ostringstream os;
+    os << info.paperName << '-' << kind << '-' << std::hex
+       << std::setw(16) << std::setfill('0') << h;
+    return os.str();
+}
+
 namespace
 {
 
@@ -334,11 +357,13 @@ struct KeyAssets
  * Persistent index cache (the build-once/query-many split of RTNN /
  * RT-kNNS, applied across processes): when the HSU_INDEX_CACHE
  * environment variable names a directory, built indexes are serialized
- * there and later runs reload them instead of rebuilding. Serialized
- * indexes round-trip exactly (tests/structures/test_serialize), and the
- * loaders shape-check against the backing PointSet and fall back to a
- * rebuild on any mismatch, so a stale or corrupt cache costs a warning,
- * never a wrong result.
+ * there and later runs reload them instead of rebuilding. Files are
+ * named by indexCacheStem(), which hashes every input of the build, so
+ * an index built from other inputs is never found. Serialized indexes
+ * round-trip exactly (tests/structures/test_serialize), and the loaders
+ * shape-check against the backing PointSet and fall back to a rebuild
+ * on any mismatch, so a corrupt cache costs a warning, never a wrong
+ * result.
  */
 std::string
 indexCacheFile(const std::string &stem)
@@ -392,18 +417,27 @@ cachedIndex(const std::string &file, LoadFn load, BuildFn build,
     return built;
 }
 
+/** Builder parameters of the runner's indexes (the cache keys them). */
+constexpr unsigned kKdLeafSize = 16;
+constexpr unsigned kBtreeOrder = 256;
+constexpr double kBtreeLeafFill = 0.7;
+
 const GgnnAssets &
 ggnnAssets(DatasetId id)
 {
     return cachedAssets<GgnnAssets>(id, [id](GgnnAssets &a) {
         const DatasetInfo &info = datasetInfo(id);
+        const HnswParams hp{};
         // Build in place: the graph/kernel hold references into the
         // slot-resident PointSet, so it must never move after build.
         a.points = generatePoints(info);
         a.graph = std::make_unique<HnswGraph>(cachedIndex<HnswGraph>(
-            indexCacheFile(info.paperName + "-hnsw"),
+            indexCacheFile(indexCacheStem(
+                info, "hnsw",
+                {static_cast<std::uint64_t>(info.metric), hp.degree,
+                 hp.degreeLayer0, hp.efConstruction, hp.seed})),
             [&](std::istream &is) { return loadGraph(is, a.points); },
-            [&] { return HnswGraph::build(a.points, info.metric); },
+            [&] { return HnswGraph::build(a.points, info.metric, hp); },
             [](std::ostream &os, const HnswGraph &g) {
                 saveGraph(os, g);
             }));
@@ -419,16 +453,17 @@ pointAssets(DatasetId id)
         a.points = generatePoints(info);
         a.radius = pickRadius(a.points);
         a.bvh = std::make_unique<Lbvh>(cachedIndex<Lbvh>(
-            indexCacheFile(info.paperName + "-lbvh"),
+            indexCacheFile(indexCacheStem(
+                info, "lbvh", {std::bit_cast<std::uint32_t>(a.radius)})),
             [](std::istream &is) { return loadLbvh(is); },
             [&] { return Lbvh::buildFromPoints(a.points, a.radius); },
             [](std::ostream &os, const Lbvh &b) { saveLbvh(os, b); }));
         a.bvhKernel = std::make_unique<BvhnnKernel>(
             a.points, *a.bvh, BvhnnConfig{a.radius});
         a.kdtree = std::make_unique<KdTree>(cachedIndex<KdTree>(
-            indexCacheFile(info.paperName + "-kdtree"),
+            indexCacheFile(indexCacheStem(info, "kdtree", {kKdLeafSize})),
             [&](std::istream &is) { return loadKdTree(is, a.points); },
-            [&] { return KdTree::build(a.points, 16); },
+            [&] { return KdTree::build(a.points, kKdLeafSize); },
             [](std::ostream &os, const KdTree &t) { saveKdTree(os, t); }));
         a.flannKernel = std::make_unique<FlannKernel>(*a.kdtree);
     });
@@ -440,7 +475,9 @@ keyAssets(DatasetId id)
     return cachedAssets<KeyAssets>(id, [id](KeyAssets &a) {
         const DatasetInfo &info = datasetInfo(id);
         a.tree = std::make_unique<BTree>(cachedIndex<BTree>(
-            indexCacheFile(info.paperName + "-btree"),
+            indexCacheFile(indexCacheStem(
+                info, "btree",
+                {kBtreeOrder, std::bit_cast<std::uint64_t>(kBtreeLeafFill)})),
             [](std::istream &is) { return loadBTree(is); },
             [&] {
                 auto keys = generateKeys(info);
@@ -451,7 +488,8 @@ keyAssets(DatasetId id)
                     pairs.emplace_back(keys[i],
                                        static_cast<std::uint32_t>(i));
                 }
-                return BTree::build(std::move(pairs));
+                return BTree::build(std::move(pairs), kBtreeOrder,
+                                    kBtreeLeafFill);
             },
             [](std::ostream &os, const BTree &t) { saveBTree(os, t); }));
         a.kernel = std::make_unique<BtreeKernel>(*a.tree);

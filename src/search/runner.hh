@@ -9,6 +9,7 @@
 #define HSU_SEARCH_RUNNER_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -294,6 +295,17 @@ std::vector<DatasetId> datasetsForAlgo(Algo algo);
 /** Figure label for (algo, dataset): FLANN/BVH-NN 3-D datasets carry
  *  the paper's "F-"/"B-" prefixes. */
 std::string workloadLabel(Algo algo, const DatasetInfo &info);
+
+/**
+ * File stem under which the HSU_INDEX_CACHE disk cache keeps one built
+ * index: "<paperName>-<kind>-<hash>". The 16-hex-digit hash covers a
+ * cache format version, the dataset's generator seed, size and
+ * dimension, and @p builder, the parameters the index's builder is
+ * called with, so an index built from any other inputs has another
+ * name and is never loaded in place of this one.
+ */
+std::string indexCacheStem(const DatasetInfo &info, const std::string &kind,
+                           std::initializer_list<std::uint64_t> builder);
 
 /** Pick a BVH-NN/search radius for a 3-D dataset: twice the median
  *  nearest-neighbor spacing of a deterministic sample. The exact

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "search/runner.hh"
 
 namespace hsu
@@ -31,6 +33,40 @@ tinyOptions()
     o.pointQueries = 256;
     o.keyQueries = 512;
     return o;
+}
+
+TEST(Runner, IndexCacheStemKeysEveryBuildInput)
+{
+    const DatasetInfo &base = datasetInfo(DatasetId::Sift10k);
+    const std::initializer_list<std::uint64_t> params = {16, 24, 32, 7};
+    const std::string ref = indexCacheStem(base, "hnsw", params);
+    EXPECT_EQ(indexCacheStem(base, "hnsw", params), ref);
+    EXPECT_EQ(ref.rfind("sift10k-hnsw-", 0), 0u) << ref;
+    EXPECT_EQ(ref.size(), std::string("sift10k-hnsw-").size() + 16);
+
+    std::vector<std::string> changed;
+    DatasetInfo d = base;
+    d.seed += 1;
+    changed.push_back(indexCacheStem(d, "hnsw", params));
+    d = base;
+    d.simPoints += 1;
+    changed.push_back(indexCacheStem(d, "hnsw", params));
+    d = base;
+    d.dim += 1;
+    changed.push_back(indexCacheStem(d, "hnsw", params));
+    changed.push_back(indexCacheStem(base, "kdtree", params));
+    changed.push_back(indexCacheStem(base, "hnsw", {17, 24, 32, 7}));
+    changed.push_back(indexCacheStem(base, "hnsw", {16, 25, 32, 7}));
+    changed.push_back(indexCacheStem(base, "hnsw", {16, 24, 33, 7}));
+    changed.push_back(indexCacheStem(base, "hnsw", {16, 24, 32, 8}));
+    changed.push_back(indexCacheStem(base, "hnsw", {16, 24, 32}));
+    changed.push_back(indexCacheStem(base, "hnsw", {16, 24, 32, 7, 0}));
+    for (const std::string &name : changed)
+        EXPECT_NE(name, ref);
+    std::sort(changed.begin(), changed.end());
+    EXPECT_EQ(std::adjacent_find(changed.begin(), changed.end()),
+              changed.end())
+        << "two different inputs share a name";
 }
 
 TEST(Runner, DatasetsForAlgoPartition)
