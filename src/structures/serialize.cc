@@ -1,5 +1,6 @@
 #include "structures/serialize.hh"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 
@@ -62,10 +63,24 @@ readVec(std::istream &is, std::vector<T> &v,
     std::uint64_t n = 0;
     if (!readU64(is, n) || n > max_elems)
         return false;
-    v.resize(n);
-    is.read(reinterpret_cast<char *>(v.data()),
-            static_cast<std::streamsize>(n * sizeof(T)));
-    return is.good() || (n == 0 && !is.bad());
+    // The length is untrusted: grow the vector one bounded chunk at a
+    // time as its bytes arrive, so a header that claims more than the
+    // stream holds fails after at most one chunk instead of allocating
+    // its claim up front.
+    constexpr std::size_t kChunk = std::max<std::size_t>(
+        1, (std::size_t{1} << 20) / sizeof(T));
+    v.clear();
+    while (v.size() < n) {
+        const std::size_t have = v.size();
+        const auto take = static_cast<std::size_t>(
+            std::min<std::uint64_t>(n - have, kChunk));
+        v.resize(have + take);
+        is.read(reinterpret_cast<char *>(v.data() + have),
+                static_cast<std::streamsize>(take * sizeof(T)));
+        if (!is.good())
+            return false;
+    }
+    return true;
 }
 
 bool
@@ -189,8 +204,10 @@ loadGraph(std::istream &is, const PointSet &points)
     HnswParams params;
     params.degreeLayer0 = deg0;
     params.degree = deg;
-    std::vector<HnswGraph::Layer> layers(num_layers);
-    for (auto &layer : layers) {
+    // Grown as layers arrive: num_layers is untrusted.
+    std::vector<HnswGraph::Layer> layers;
+    for (std::uint32_t l = 0; l < num_layers; ++l) {
+        HnswGraph::Layer &layer = layers.emplace_back();
         if (!readVec(is, layer.members) ||
             !readVec(is, layer.adjacency)) {
             return std::nullopt;
@@ -230,8 +247,10 @@ loadBTree(std::istream &is)
         !readU64(is, count) || order < 3) {
         return std::nullopt;
     }
-    std::vector<BTreeNode> nodes(count);
-    for (auto &node : nodes) {
+    // Grown as nodes arrive: count is untrusted.
+    std::vector<BTreeNode> nodes;
+    for (std::uint64_t i = 0; i < count; ++i) {
+        BTreeNode &node = nodes.emplace_back();
         std::uint32_t leaf = 0;
         if (!readU32(is, leaf) || !readVec(is, node.keys) ||
             !readVec(is, node.children) || !readVec(is, node.values)) {

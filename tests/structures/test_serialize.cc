@@ -8,6 +8,8 @@
 
 #include <sstream>
 
+#include <sys/resource.h>
+
 #include "../test_util.hh"
 #include "structures/serialize.hh"
 
@@ -124,6 +126,66 @@ TEST(Serialize, RejectsGarbage)
     std::stringstream ss;
     saveBTree(ss, tree);
     EXPECT_FALSE(loadLbvh(ss).has_value());
+}
+
+/** Native-endian field writer for hand-made (corrupt) blobs. */
+template <typename T>
+void
+put(std::string &blob, T v)
+{
+    blob.append(reinterpret_cast<const char *>(&v), sizeof(v));
+}
+
+/** Peak resident set size of this process so far, in MiB. */
+long
+peakRssMiB()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_maxrss / 1024;
+}
+
+// Lengths in a blob are untrusted: a header that claims far more than
+// the stream holds must fail on the missing bytes, not first allocate
+// what it claims (here 8 GiB of members, 2^32 layers, 2^40 nodes).
+TEST(Serialize, HugeClaimedLengthsFailWithoutAllocating)
+{
+    const PointSet pts = test::randomCloud(4, 2, 91);
+    const long rss_before = peakRssMiB();
+
+    std::string graph;
+    put<std::uint32_t>(graph, 0x48535531); // "HSU1"
+    put<std::uint32_t>(graph, 3);          // graph blob
+    put<std::uint64_t>(graph, pts.size());
+    put<std::uint32_t>(graph, pts.dim());
+    put<std::uint32_t>(graph, 0);  // metric
+    put<std::uint32_t>(graph, 0);  // entry
+    put<std::uint32_t>(graph, 1);  // layers
+    put<std::uint32_t>(graph, 24); // degree, layer 0
+    put<std::uint32_t>(graph, 16); // degree, upper layers
+    std::string members = graph;
+    put<std::uint64_t>(members, 1ull << 31); // claimed member count
+    put<std::uint32_t>(members, 0);          // ...over 4 bytes
+    std::stringstream members_in(members);
+    EXPECT_FALSE(loadGraph(members_in, pts).has_value());
+
+    std::string layers = graph;
+    layers.replace(layers.size() - 12, 4, "\xff\xff\xff\xff");
+    std::stringstream layers_in(layers);
+    EXPECT_FALSE(loadGraph(layers_in, pts).has_value());
+
+    std::string btree;
+    put<std::uint32_t>(btree, 0x48535531);
+    put<std::uint32_t>(btree, 4); // B+tree blob
+    put<std::uint32_t>(btree, 0); // root
+    put<std::uint32_t>(btree, 8); // order
+    put<std::uint64_t>(btree, 1ull << 40);
+    put<std::uint32_t>(btree, 1);
+    std::stringstream btree_in(btree);
+    EXPECT_FALSE(loadBTree(btree_in).has_value());
+
+    EXPECT_LT(peakRssMiB() - rss_before, 64) << "a claimed length was "
+                                                "allocated up front";
 }
 
 TEST(Serialize, TruncatedStreamRejected)
