@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <type_traits>
 
 #include "common/rng.hh"
 #include "hsu/functional.hh"
@@ -31,11 +32,15 @@ randomPairs(std::size_t n, std::uint64_t seed)
     return out;
 }
 
+// Both fields are 8 bytes wide so the struct has no padding: gtest
+// prints the raw bytes of this parameter into each test's name, and
+// padding bytes would leak uninitialized stack contents into it.
 struct BtreeCase
 {
     std::size_t n;
-    unsigned order;
+    std::size_t order;
 };
+static_assert(std::has_unique_object_representations_v<BtreeCase>);
 
 class BtreeSweep : public ::testing::TestWithParam<BtreeCase>
 {
@@ -49,7 +54,8 @@ TEST_P(BtreeSweep, LookupsMatchStdMap)
     for (const auto &[k, v] : pairs)
         ref.emplace(k, v); // first value wins, like BTree::build
 
-    const BTree tree = BTree::build(pairs, order);
+    const BTree tree =
+        BTree::build(pairs, static_cast<unsigned>(order));
     EXPECT_TRUE(tree.validate());
 
     // Every present key.
