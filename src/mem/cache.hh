@@ -11,10 +11,13 @@
 #ifndef HSU_MEM_CACHE_HH
 #define HSU_MEM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <new>
 #include <queue>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -24,8 +27,54 @@
 namespace hsu
 {
 
-/** Completion callback invoked when an access's data is available. */
-using MemCompletion = std::function<void()>;
+/**
+ * Completion callback invoked when an access's data is available.
+ *
+ * Every load, store, HSU op and node fetch creates one, and most are
+ * copied through a cache's ready queue or an MSHR waiter list, so it
+ * is a fixed-size in-place callable rather than a std::function: the
+ * capture (trivially copyable, at most kCaptureBytes) lives inside the
+ * object, so making, copying and destroying one never allocates and
+ * never touches a reference count. Empty (default or nullptr) means
+ * "nobody waits".
+ */
+class MemCompletion
+{
+  public:
+    static constexpr std::size_t kCaptureBytes = 24;
+
+    MemCompletion() = default;
+    MemCompletion(std::nullptr_t) {}
+
+    template <typename F,
+              typename = std::enable_if_t<
+                  !std::is_same_v<std::decay_t<F>, MemCompletion> &&
+                  !std::is_same_v<std::decay_t<F>, std::nullptr_t>>>
+    MemCompletion(F f)
+    {
+        static_assert(std::is_trivially_copyable_v<F>,
+                      "MemCompletion captures must be trivially copyable "
+                      "(pointers, references, indices, plain values)");
+        static_assert(sizeof(F) <= kCaptureBytes,
+                      "MemCompletion capture exceeds kCaptureBytes");
+        static_assert(alignof(F) <= alignof(std::uint64_t),
+                      "MemCompletion capture is over-aligned");
+        ::new (static_cast<void *>(capture_)) F(f);
+        invoke_ = [](const unsigned char *capture) {
+            (*std::launder(reinterpret_cast<const F *>(capture)))();
+        };
+    }
+
+    explicit operator bool() const { return invoke_ != nullptr; }
+
+    void operator()() const { invoke_(capture_); }
+
+  private:
+    void (*invoke_)(const unsigned char *) = nullptr;
+    alignas(std::uint64_t) unsigned char capture_[kCaptureBytes] = {};
+};
+
+static_assert(std::is_trivially_copyable_v<MemCompletion>);
 
 /** Cache geometry and timing parameters. */
 struct CacheParams

@@ -205,7 +205,7 @@ RtUnit::startIssue(std::size_t idx, std::uint64_t now)
     e.onDone = nullptr;
 }
 
-void
+bool
 RtUnit::tick(bool port_granted, std::uint64_t now)
 {
     // 1. Retire writebacks whose results exit the pipeline. Each beat
@@ -237,10 +237,13 @@ RtUnit::tick(bool port_granted, std::uint64_t now)
     }
 
     // 2. Datapath: start streaming the next ready entry.
+    bool started = false;
     if (datapathBusyUntil_ <= now) {
         const int pick = selectReadyEntry();
-        if (pick >= 0)
+        if (pick >= 0) {
             startIssue(static_cast<std::size_t>(pick), now);
+            started = true;
+        }
     }
     if (datapathBusyUntil_ > now)
         ++statBusyCycles_;
@@ -271,6 +274,18 @@ RtUnit::tick(bool port_granted, std::uint64_t now)
             fifo_.pop_front();
         }
     }
+    return started;
+}
+
+Cycle
+RtUnit::nextIssuingEnd(Cycle now) const
+{
+    Cycle next = kNeverCycle;
+    for (const Entry &e : entries_) {
+        if (e.state == EntryState::Issuing && e.issueEndsAt > now)
+            next = std::min(next, e.issueEndsAt);
+    }
+    return next;
 }
 
 void

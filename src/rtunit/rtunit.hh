@@ -76,8 +76,28 @@ class RtUnit
     /** True when the FIFO memory queue wants the L1 port. */
     bool wantsAccess() const { return !fifo_.empty(); }
 
-    /** Advance one cycle. @p port_granted gives this unit the L1 port. */
-    void tick(bool port_granted, std::uint64_t now);
+    /**
+     * Advance one cycle. @p port_granted gives this unit the L1 port.
+     * @return true when a warp-buffer entry started issuing (Ready ->
+     *         Issuing): its slot now frees at a new end cycle, which
+     *         the SM's stall replay must not run past
+     */
+    bool tick(bool port_granted, std::uint64_t now);
+
+    /**
+     * Earliest cycle after @p now at which an Issuing entry's slot
+     * recycles (kNeverCycle when none is issuing). Until then, and
+     * until another entry starts issuing, a dispatch rejected for want
+     * of a free entry would be rejected again.
+     */
+    Cycle nextIssuingEnd(Cycle now) const;
+
+    /** True when the dispatch arbiter accepted a dispatch at @p now. */
+    bool
+    dispatchAcceptedAt(Cycle now) const
+    {
+        return lastDispatchCycle_ == now && dispatchedThisCycle_;
+    }
 
     /** True when no entry, request, or in-flight result remains. */
     bool drained() const;
@@ -98,16 +118,18 @@ class RtUnit
     void fastForwardStats(Cycle now, Cycle next);
 
     /**
-     * Skipped-gap counterpart of the tryDispatch reject counter: the
-     * SM's fast-forward calls this once per dispatch-blocked candidate
-     * with the gap length, matching the rejection the per-cycle loop
-     * would have recorded on each of those cycles (no free entry — a
-     * free entry would have made the dispatch an event).
+     * Count @p n no-entry rejects for dispatch attempts the SM skipped
+     * because their outcome is known: its fast-forward calls this once
+     * per dispatch-blocked candidate with the gap length, and its stall
+     * replay once per replayed cycle with that stall's blocked-candidate
+     * count. Either way it matches the rejections the per-cycle loop
+     * would have recorded (no free entry — a free entry would have
+     * made the dispatch an event, or invalidated the replay).
      */
     void
-    accountSkippedDispatchRejects(double cycles)
+    accountSkippedDispatchRejects(double n)
     {
-        statRejectNoEntry_ += cycles;
+        statRejectNoEntry_ += n;
     }
 
     /** Busy-cycle count so far (datapath issuing). */

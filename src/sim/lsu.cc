@@ -7,12 +7,11 @@
 namespace hsu
 {
 
-std::vector<std::uint64_t>
+void
 coalesceLines(const WarpTrace &trace, const TraceOp &op,
-              unsigned line_bytes)
+              unsigned line_bytes, std::vector<std::uint64_t> &lines)
 {
-    std::vector<std::uint64_t> lines;
-    lines.reserve(8);
+    lines.clear();
     for (unsigned lane = 0; lane < kWarpSize; ++lane) {
         if (!(op.activeMask & (1u << lane)))
             continue;
@@ -25,12 +24,11 @@ coalesceLines(const WarpTrace &trace, const TraceOp &op,
     }
     std::sort(lines.begin(), lines.end());
     lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-    return lines;
 }
 
 Lsu::Lsu(unsigned queue_capacity, Cache &l1, StatGroup &stats,
          const std::string &name)
-    : capacity_(queue_capacity), l1_(l1),
+    : capacity_(queue_capacity), l1_(l1), ring_(queue_capacity),
       statInstrs_(stats.scalar(name + ".mem_instrs")),
       statLineReqs_(stats.scalar(name + ".line_reqs")),
       statPortCycles_(stats.scalar(name + ".port_cycles")),
@@ -44,46 +42,69 @@ Lsu::issue(const std::vector<std::uint64_t> &lines, bool write,
 {
     // Per-memory-instruction path: release builds skip the check.
     hsu_debug_assert(!lines.empty(), "memory instruction with no lines");
-    if (queue_.size() + lines.size() > capacity_)
+    if (!hasRoom(lines.size()))
         return false;
 
     ++statInstrs_;
     statLineReqs_ += static_cast<double>(lines.size());
 
-    auto group = std::make_shared<Group>();
-    group->remaining = static_cast<unsigned>(lines.size());
-    group->done = std::move(done);
+    std::uint32_t group;
+    if (freeGroups_.empty()) {
+        group = static_cast<std::uint32_t>(groups_.size());
+        groups_.emplace_back();
+    } else {
+        group = freeGroups_.back();
+        freeGroups_.pop_back();
+    }
+    groups_[group].remaining = static_cast<unsigned>(lines.size());
+    groups_[group].done = done;
 
-    for (const auto line : lines)
-        queue_.push_back(LineReq{line, write, group});
+    for (const auto line : lines) {
+        std::size_t tail = head_ + count_;
+        if (tail >= capacity_)
+            tail -= capacity_;
+        ring_[tail] = LineReq{line, group, write};
+        ++count_;
+    }
     return true;
 }
 
 void
+Lsu::lineDone(std::uint32_t group)
+{
+    Group &g = groups_[group];
+    if (--g.remaining != 0)
+        return;
+    const MemCompletion done = g.done;
+    g.done = nullptr;
+    freeGroups_.push_back(group);
+    if (done)
+        done();
+}
+
+bool
 Lsu::tick(bool port_granted, std::uint64_t now)
 {
-    if (!port_granted || queue_.empty())
-        return;
+    if (!port_granted || count_ == 0)
+        return false;
 
     ++statPortCycles_;
-    LineReq &req = queue_.front();
-    auto group = req.group;
+    const LineReq &req = ring_[head_];
+    const std::uint32_t group = req.group;
     const std::uint64_t byte_addr = req.line * l1_.params().lineBytes;
     const CacheOutcome outcome = l1_.access(
-        byte_addr, req.write,
-        [group]() {
-            if (--group->remaining == 0 && group->done)
-                group->done();
-        },
-        now);
+        byte_addr, req.write, [this, group]() { lineDone(group); }, now);
 
     if (outcome == CacheOutcome::RejectMshrFull ||
         outcome == CacheOutcome::RejectQueueFull) {
         // Structural stall; the request stays at the head and retries.
         ++statRetries_;
-        return;
+        return false;
     }
-    queue_.pop_front();
+    if (++head_ == capacity_)
+        head_ = 0;
+    --count_;
+    return true;
 }
 
 } // namespace hsu

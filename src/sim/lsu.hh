@@ -18,10 +18,9 @@
 #ifndef HSU_SIM_LSU_HH
 #define HSU_SIM_LSU_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/stats.hh"
@@ -31,10 +30,14 @@
 namespace hsu
 {
 
-/** Coalesce a warp op's lane addresses into unique line numbers. */
-std::vector<std::uint64_t> coalesceLines(const WarpTrace &trace,
-                                         const TraceOp &op,
-                                         unsigned line_bytes);
+/**
+ * Coalesce a warp op's lane addresses into its unique line numbers,
+ * ascending. Replaces the contents of @p lines and reuses its
+ * capacity: the SM coalesces each memory op once, into a buffer its
+ * warp keeps, and re-presents the result on every retry.
+ */
+void coalesceLines(const WarpTrace &trace, const TraceOp &op,
+                   unsigned line_bytes, std::vector<std::uint64_t> &lines);
 
 /** Per-SM load/store unit. */
 class Lsu
@@ -43,24 +46,37 @@ class Lsu
     Lsu(unsigned queue_capacity, Cache &l1, StatGroup &stats,
         const std::string &name);
 
+    /** True when @p lines more line requests fit in the queue now. */
+    bool
+    hasRoom(std::size_t lines) const
+    {
+        return count_ + lines <= capacity_;
+    }
+
     /**
      * Issue one warp memory instruction as a set of line requests.
      * @param lines    coalesced unique line numbers
      * @param write    store (fire-and-forget) vs load
      * @param done     fires when every line has returned (loads)
-     * @return false when the queue lacks space (warp must retry)
+     * @return false when the queue lacks space (warp must retry); the
+     *         SM asks hasRoom() first, so a rejected attempt builds no
+     *         completion
      */
     bool issue(const std::vector<std::uint64_t> &lines, bool write,
                MemCompletion done);
 
     /** True when a line request is waiting for the L1 port. */
-    bool wantsAccess() const { return !queue_.empty(); }
+    bool wantsAccess() const { return count_ != 0; }
 
-    /** Present at most one request to the L1 if @p port_granted. */
-    void tick(bool port_granted, std::uint64_t now);
+    /**
+     * Present at most one request to the L1 if @p port_granted.
+     * @return true when a request left the queue (the L1 accepted it),
+     *         which may let a warp the queue refused issue
+     */
+    bool tick(bool port_granted, std::uint64_t now);
 
     /** True when no request is queued (in-flight L1 side not counted). */
-    bool drained() const { return queue_.empty(); }
+    bool drained() const { return count_ == 0; }
 
     /**
      * Earliest future cycle tick() could act on its own: the queue
@@ -71,26 +87,42 @@ class Lsu
     Cycle
     nextEventCycle(Cycle now) const
     {
-        return queue_.empty() ? kNeverCycle : now + 1;
+        return count_ == 0 ? kNeverCycle : now + 1;
     }
 
+    /**
+     * Group slots allocated so far: the most memory instructions that
+     * were ever in flight at once. A group's slot is recycled when its
+     * last line returns.
+     */
+    std::size_t groupSlots() const { return groups_.size(); }
+
   private:
+    /** One in-flight instruction: its lines still out, and its waiter. */
     struct Group
     {
-        unsigned remaining;
+        unsigned remaining = 0;
         MemCompletion done;
     };
 
     struct LineReq
     {
         std::uint64_t line;
+        std::uint32_t group; //!< index into groups_
         bool write;
-        std::shared_ptr<Group> group;
     };
+
+    /** A line of @p group returned; the last one fires and frees it. */
+    void lineDone(std::uint32_t group);
 
     unsigned capacity_;
     Cache &l1_;
-    std::deque<LineReq> queue_;
+    /** The request queue: a ring of capacity_ entries. */
+    std::vector<LineReq> ring_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+    std::vector<Group> groups_;
+    std::vector<std::uint32_t> freeGroups_;
 
     Stat &statInstrs_;
     Stat &statLineReqs_;

@@ -29,8 +29,6 @@ Sm::Sm(const GpuConfig &cfg, unsigned sm_id, Cache &l1, StatGroup &stats)
 
     warps_.resize(cfg.maxWarpsPerSm);
     subCores_.resize(cfg.subCoresPerSm);
-    for (unsigned slot = 0; slot < cfg.maxWarpsPerSm; ++slot)
-        subCores_[slot % cfg.subCoresPerSm].slots.push_back(slot);
 
     // Every cross-boundary wake (LSU group done, store retire, HSU op
     // done, RT line arrival) funnels through this L1's completion
@@ -60,29 +58,41 @@ Sm::activatePending()
         w.pc = 0;
         w.pendingTokens = 0;
         w.clearedSinceTick = 0;
-        w.beatsIssued = 0;
         w.outstanding = 0;
         w.blockEnd = 0;
+        w.linesPc = kNoPc;
         w.order = nextOrder_++;
         w.active = true;
         ++activeCount_;
+        // Slot s belongs to sub-core s % subCoresPerSm. Activation
+        // order is age order, so appending keeps `live` oldest-first.
+        subCores_[slot % subCores_.size()].live.push_back(slot);
+        ++epoch_;
     }
 }
 
 void
 Sm::retireFinished(std::uint64_t now)
 {
-    for (auto &w : warps_) {
-        if (w.active && w.pc >= w.trace->ops.size() &&
-            w.outstanding == 0 && w.blockEnd <= now) {
-            // Per-cycle path: release builds skip the check.
-            hsu_debug_assert(w.pendingTokens == 0,
-                             "warp retired with pending tokens");
-            w.active = false;
-            w.trace = nullptr;
-            --activeCount_;
-            ++statWarpsRetired_;
+    for (auto &sc : subCores_) {
+        auto keep = sc.live.begin();
+        for (const unsigned slot : sc.live) {
+            WarpCtx &w = warps_[slot];
+            if (w.pc >= w.trace->ops.size() && w.outstanding == 0 &&
+                w.blockEnd <= now) {
+                // Per-cycle path: release builds skip the check.
+                hsu_debug_assert(w.pendingTokens == 0,
+                                 "warp retired with pending tokens");
+                w.active = false;
+                w.trace = nullptr;
+                --activeCount_;
+                ++statWarpsRetired_;
+                ++epoch_;
+            } else {
+                *keep++ = slot;
+            }
         }
+        sc.live.erase(keep, sc.live.end());
     }
 }
 
@@ -97,10 +107,21 @@ Sm::tryIssue(unsigned slot, SubCore &sc, std::uint64_t now,
     const std::uint32_t prod_mask =
         op.produces != kNoToken ? (1u << op.produces) : 0u;
     if ((op.consumesMask | prod_mask) & w.pendingTokens)
-        return TryResult::Blocked;
+        return TryResult::TokenBlocked;
 
     const unsigned sub_core_id =
         static_cast<unsigned>(&sc - subCores_.data());
+
+    // Load and HSU completions clear the op's token: that can unblock
+    // a stalled candidate, so it ends every sub-core's stall replay.
+    WarpCtx *wp = &w;
+    const auto token_done = [this, wp, prod_mask]() {
+        wp->pendingTokens &= ~prod_mask;
+        wp->clearedSinceTick |= prod_mask;
+        anyCleared_ = true;
+        --wp->outstanding;
+        ++epoch_;
+    };
 
     switch (op.type) {
       case OpType::Alu:
@@ -115,31 +136,28 @@ Sm::tryIssue(unsigned slot, SubCore &sc, std::uint64_t now,
         ++w.pc;
         return TryResult::Issued;
 
-      case OpType::Load: {
-        const auto lines =
-            coalesceLines(*w.trace, op, l1_.params().lineBytes);
-        WarpCtx *wp = &w;
-        MemCompletion done = [this, wp, prod_mask]() {
-            wp->pendingTokens &= ~prod_mask;
-            wp->clearedSinceTick |= prod_mask;
-            anyCleared_ = true;
-            --wp->outstanding;
-        };
-        if (!lsu_->issue(lines, false, std::move(done)))
-            return TryResult::Blocked;
-        w.pendingTokens |= prod_mask;
-        ++w.outstanding;
-        ++statInstrsIssued_;
-        ++w.pc;
-        return TryResult::Issued;
-      }
-
+      case OpType::Load:
       case OpType::Store: {
-        const auto lines =
-            coalesceLines(*w.trace, op, l1_.params().lineBytes);
-        WarpCtx *wp = &w;
-        if (!lsu_->issue(lines, true, [wp]() { --wp->outstanding; }))
-            return TryResult::Blocked;
+        if (w.linesPc != w.pc) {
+            coalesceLines(*w.trace, op, l1_.params().lineBytes, w.lines);
+            w.linesPc = w.pc;
+            if (w.lines.size() > cfg_.lsuQueueSize) {
+                hsu_fatal("memory op at pc ", w.pc, " coalesces to ",
+                          w.lines.size(),
+                          " line requests, more than the LSU queue "
+                          "holds (lsuQueueSize = ",
+                          cfg_.lsuQueueSize, "); it could never issue");
+            }
+        }
+        // Ask for room first: a refused attempt builds nothing.
+        if (!lsu_->hasRoom(w.lines.size()))
+            return TryResult::UnitBlocked;
+        if (op.type == OpType::Load) {
+            lsu_->issue(w.lines, false, token_done);
+            w.pendingTokens |= prod_mask;
+        } else {
+            lsu_->issue(w.lines, true, [wp]() { --wp->outstanding; });
+        }
         ++w.outstanding;
         ++statInstrsIssued_;
         ++w.pc;
@@ -149,16 +167,9 @@ Sm::tryIssue(unsigned slot, SubCore &sc, std::uint64_t now,
       case OpType::HsuOp: {
         hsu_assert(rt_ != nullptr,
                    "HSU op in trace but RT unit disabled");
-        WarpCtx *wp = &w;
-        MemCompletion done = [this, wp, prod_mask]() {
-            wp->pendingTokens &= ~prod_mask;
-            wp->clearedSinceTick |= prod_mask;
-            anyCleared_ = true;
-            --wp->outstanding;
-        };
-        if (!rt_->tryDispatch(sub_core_id, slot, *w.trace, op,
-                              std::move(done), now)) {
-            return TryResult::Blocked;
+        if (!rt_->tryDispatch(sub_core_id, slot, *w.trace, op, token_done,
+                              now)) {
+            return TryResult::UnitBlocked;
         }
         // The warp streams the sequence's `count` instructions from
         // its issue port back-to-back (GTO keeps it greedy, §IV-F).
@@ -176,35 +187,27 @@ Sm::tryIssue(unsigned slot, SubCore &sc, std::uint64_t now,
 }
 
 unsigned
-Sm::buildCandidateOrder(const SubCore &sc, unsigned order[64],
+Sm::buildCandidateOrder(const SubCore &sc,
+                        unsigned order[kMaxSlotsPerSubCore],
                         unsigned &greedy_count) const
 {
     // Fixed scratch storage (this runs every sub-core cycle — no heap
     // traffic allowed): greedy warp first (GTO), then the rest
-    // oldest-first.
+    // oldest-first, which is `live` order.
     unsigned count = 0;
-    if (sc.greedy >= 0 &&
-        warps_[static_cast<unsigned>(sc.greedy)].active &&
-        warps_[static_cast<unsigned>(sc.greedy)].pc <
-            warps_[static_cast<unsigned>(sc.greedy)].trace->ops.size()) {
-        order[count++] = static_cast<unsigned>(sc.greedy);
+    if (sc.greedy >= 0) {
+        const WarpCtx &g = warps_[static_cast<unsigned>(sc.greedy)];
+        if (g.active && g.pc < g.trace->ops.size())
+            order[count++] = static_cast<unsigned>(sc.greedy);
     }
     greedy_count = count;
-    for (unsigned slot : sc.slots) {
-        const WarpCtx &w = warps_[slot];
-        if (!w.active || static_cast<int>(slot) == sc.greedy)
+    for (const unsigned slot : sc.live) {
+        if (static_cast<int>(slot) == sc.greedy)
             continue;
+        const WarpCtx &w = warps_[slot];
         if (w.pc >= w.trace->ops.size())
             continue; // draining outstanding ops only
-        // Insertion sort by age (<= 16 warps per sub-core).
-        unsigned pos = count;
-        while (pos > greedy_count &&
-               warps_[order[pos - 1]].order > w.order) {
-            order[pos] = order[pos - 1];
-            --pos;
-        }
-        order[pos] = slot;
-        ++count;
+        order[count++] = slot;
     }
     return count;
 }
@@ -223,7 +226,19 @@ Sm::issueSubCore(SubCore &sc, std::uint64_t now)
         return;
     }
 
-    unsigned order[64];
+    if (sc.stallValid && sc.stallEpoch == epoch_ && now < sc.stallUntil) {
+        // Nothing that could unblock a candidate happened since the
+        // last evaluation stalled: this one would stall identically.
+        ++statStallCycles_;
+        if (sc.stallOffloadable)
+            ++statOffloadableCycles_;
+        if (sc.stallNoEntry != 0)
+            rt_->accountSkippedDispatchRejects(sc.stallNoEntry);
+        return;
+    }
+    sc.stallValid = false;
+
+    unsigned order[kMaxSlotsPerSubCore];
     unsigned greedy_count = 0;
     unsigned count = buildCandidateOrder(sc, order, greedy_count);
     if (cfg_.scheduler == SchedulerPolicy::RoundRobin &&
@@ -237,6 +252,7 @@ Sm::issueSubCore(SubCore &sc, std::uint64_t now)
 
     bool first_block_attr = false;
     bool have_block_attr = false;
+    unsigned no_entry = 0;
     for (unsigned idx = 0; idx < count; ++idx) {
         const unsigned slot = order[idx];
         bool offl = false;
@@ -246,7 +262,13 @@ Sm::issueSubCore(SubCore &sc, std::uint64_t now)
             ++statBusyCycles_;
             if (offl)
                 ++statOffloadableCycles_;
+            ++epoch_;
             return;
+        }
+        if (r == TryResult::UnitBlocked &&
+            warps_[slot].trace->ops[warps_[slot].pc].type ==
+                OpType::HsuOp) {
+            ++no_entry;
         }
         if (!have_block_attr) {
             have_block_attr = true;
@@ -254,13 +276,28 @@ Sm::issueSubCore(SubCore &sc, std::uint64_t now)
         }
     }
 
-    if (have_block_attr) {
-        ++statStallCycles_;
-        if (first_block_attr)
-            ++statOffloadableCycles_;
-    } else {
+    if (!have_block_attr) {
         ++statIdleCycles_;
+        return;
     }
+    ++statStallCycles_;
+    if (first_block_attr)
+        ++statOffloadableCycles_;
+
+    // Record the stall for replay. Round-robin rotates the order every
+    // cycle, so only GTO replays. A cycle in which the RT arbiter
+    // accepted a dispatch refused this sub-core's HSU candidates for
+    // the arbiter, not for want of an entry; next cycle they may
+    // dispatch, so such a stall is not recorded.
+    if (cfg_.scheduler != SchedulerPolicy::Gto ||
+        (rt_ && rt_->dispatchAcceptedAt(now))) {
+        return;
+    }
+    sc.stallValid = true;
+    sc.stallOffloadable = first_block_attr;
+    sc.stallNoEntry = no_entry;
+    sc.stallEpoch = epoch_;
+    sc.stallUntil = rt_ ? rt_->nextIssuingEnd(now) : kNeverCycle;
 }
 
 void
@@ -270,8 +307,10 @@ Sm::tick(std::uint64_t now)
     if (anyCleared_) {
         // Ticking consumes the catch-up token bookkeeping: from here
         // on, skipped-gap accounting starts from the current state.
-        for (auto &w : warps_)
-            w.clearedSinceTick = 0;
+        for (const auto &sc : subCores_) {
+            for (const unsigned slot : sc.live)
+                warps_[slot].clearedSinceTick = 0;
+        }
         anyCleared_ = false;
     }
     // L1 port arbitration: the LSU and the RT unit's FIFO queue
@@ -282,9 +321,12 @@ Sm::tick(std::uint64_t now)
     const bool grant_rt = rt_wants && (rt_turn || !lsu_wants);
     const bool grant_lsu = lsu_wants && !grant_rt;
 
-    if (rt_)
-        rt_->tick(grant_rt, now);
-    lsu_->tick(grant_lsu, now);
+    // An entry starting to issue moves the RT unit's next slot-free
+    // cycle; a queue pop makes LSU room. Either can unblock a stall.
+    if (rt_ && rt_->tick(grant_rt, now))
+        ++epoch_;
+    if (lsu_->tick(grant_lsu, now))
+        ++epoch_;
 
     retireFinished(now);
     activatePending();
@@ -317,10 +359,14 @@ Sm::nextEventCycle(Cycle now) const
         if (sc.busyUntil > now)
             next = std::min(next, sc.busyUntil);
     }
-    for (const auto &w : warps_) {
-        // A finished warp retires when its trailing block completes.
-        if (w.active && w.blockEnd > now)
-            next = std::min(next, w.blockEnd);
+    for (const auto &sc : subCores_) {
+        for (const unsigned slot : sc.live) {
+            // A finished warp retires when its trailing block
+            // completes.
+            const Cycle end = warps_[slot].blockEnd;
+            if (end > now)
+                next = std::min(next, end);
+        }
     }
     return next;
 }
@@ -384,7 +430,7 @@ Sm::fastForwardStats(Cycle now, Cycle next)
             continue;
         }
 
-        unsigned order[64];
+        unsigned order[kMaxSlotsPerSubCore];
         unsigned greedy_count = 0;
         const unsigned count = buildCandidateOrder(sc, order,
                                                    greedy_count);

@@ -7,11 +7,18 @@
  * enabled) one RT/HSU unit shared by the sub-cores. The LSU and the RT
  * unit's FIFO memory queue time-share the single L1D port. Warp-level
  * dependencies run through a 32-bit token scoreboard per warp.
+ *
+ * Host-side, each sub-core walks only its live warps, a memory op is
+ * coalesced once however often the LSU refuses it, and a stalled
+ * sub-core replays its last stall's counts until something that could
+ * unblock a candidate happens (DESIGN.md "Simulation execution"). None
+ * of this changes a simulated cycle or stat.
  */
 
 #ifndef HSU_SIM_SM_HH
 #define HSU_SIM_SM_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -87,8 +94,14 @@ class Sm
     enum class TryResult : std::uint8_t
     {
         Issued,
-        Blocked,
+        TokenBlocked, //!< a consumed or produced token is pending
+        UnitBlocked,  //!< the LSU queue or the RT unit refused it
     };
+
+    /** Most warp slots one sub-core can own (issue-order scratch). */
+    static constexpr unsigned kMaxSlotsPerSubCore = 64;
+
+    static constexpr std::size_t kNoPc = ~std::size_t{0};
 
     struct WarpCtx
     {
@@ -104,19 +117,40 @@ class Sm
          * ticked every cycle (completions precede the tick).
          */
         std::uint32_t clearedSinceTick = 0;
-        unsigned beatsIssued = 0;
         unsigned outstanding = 0;
         std::uint64_t order = 0;
         std::uint64_t blockEnd = 0; //!< last Alu/Shared block finishes
         bool active = false;
+        /**
+         * Coalesced lines of the memory op at linesPc. A warp the LSU
+         * refuses retries the same op every cycle; it coalesces once,
+         * on the first attempt that passes the token check, and
+         * re-presents this buffer until its pc moves.
+         */
+        std::vector<std::uint64_t> lines;
+        std::size_t linesPc = kNoPc;
     };
 
     struct SubCore
     {
-        std::vector<unsigned> slots; //!< warp slots owned by this sub-core
+        /** Active warp slots owned by this sub-core, oldest first. */
+        std::vector<unsigned> live;
         int greedy = -1;             //!< slot issued most recently
         std::uint64_t busyUntil = 0; //!< multi-instruction block occupancy
         bool busyOffloadable = false;
+
+        /**
+         * Stall replay (GTO only): the counts of the last evaluation,
+         * which stalled at stallEpoch. While the SM's epoch is
+         * unchanged and now < stallUntil, a fresh evaluation would try
+         * the same candidates in the same order and be refused the
+         * same way, so issueSubCore adds these counts instead.
+         */
+        bool stallValid = false;
+        bool stallOffloadable = false; //!< first candidate offloadable
+        unsigned stallNoEntry = 0;     //!< HSU candidates the RT unit refused
+        std::uint64_t stallEpoch = 0;
+        Cycle stallUntil = 0;          //!< next Issuing entry's slot frees
     };
 
     TryResult tryIssue(unsigned slot, SubCore &sc, std::uint64_t now,
@@ -127,7 +161,8 @@ class Sm
 
     /** Fill @p order with the sub-core's issue candidates (greedy warp
      *  first, then oldest-first) and return the candidate count. */
-    unsigned buildCandidateOrder(const SubCore &sc, unsigned order[64],
+    unsigned buildCandidateOrder(const SubCore &sc,
+                                 unsigned order[kMaxSlotsPerSubCore],
                                  unsigned &greedy_count) const;
 
     const GpuConfig &cfg_;
@@ -141,6 +176,14 @@ class Sm
     std::deque<const WarpTrace *> pending_;
     std::uint64_t nextOrder_ = 0;
     std::size_t activeCount_ = 0;
+    /**
+     * Bumped by every event that can unblock a stalled candidate: a
+     * completion clearing a token, an LSU queue pop, any issue, a warp
+     * activating or retiring, an RT entry starting to issue. A sub-core
+     * replays its last stall only while the epoch it recorded is
+     * current.
+     */
+    std::uint64_t epoch_ = 0;
     bool wakePending_ = false;
     bool anyCleared_ = false;  //!< some warp has clearedSinceTick bits
     unsigned denseStreak_ = 0; //!< consecutive "event next cycle" probes

@@ -13,12 +13,21 @@ namespace hsu
 namespace
 {
 
+/** Coalesce @p op into a fresh buffer. */
+std::vector<std::uint64_t>
+coalesced(const WarpTrace &wt, const TraceOp &op, unsigned line_bytes)
+{
+    std::vector<std::uint64_t> lines;
+    coalesceLines(wt, op, line_bytes, lines);
+    return lines;
+}
+
 TEST(Coalesce, PatternLoadOneLine)
 {
     WarpTrace wt;
     TraceBuilder tb(wt);
     tb.loadPattern(0x1000, 4, 4); // 32 lanes x 4B = 128B
-    const auto lines = coalesceLines(wt, wt.ops[0], 128);
+    const auto lines = coalesced(wt, wt.ops[0], 128);
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_EQ(lines[0], 0x1000u / 128);
 }
@@ -28,7 +37,7 @@ TEST(Coalesce, StridedLoadManyLines)
     WarpTrace wt;
     TraceBuilder tb(wt);
     tb.loadPattern(0x1000, 128, 4); // one line per lane
-    EXPECT_EQ(coalesceLines(wt, wt.ops[0], 128).size(), 32u);
+    EXPECT_EQ(coalesced(wt, wt.ops[0], 128).size(), 32u);
 }
 
 TEST(Coalesce, InactiveLanesSkipped)
@@ -36,7 +45,7 @@ TEST(Coalesce, InactiveLanesSkipped)
     WarpTrace wt;
     TraceBuilder tb(wt);
     tb.loadPattern(0x1000, 128, 4, 0x0000000f); // 4 lanes
-    EXPECT_EQ(coalesceLines(wt, wt.ops[0], 128).size(), 4u);
+    EXPECT_EQ(coalesced(wt, wt.ops[0], 128).size(), 4u);
 }
 
 TEST(Coalesce, StraddlingAccessTouchesBothLines)
@@ -47,7 +56,7 @@ TEST(Coalesce, StraddlingAccessTouchesBothLines)
     std::uint64_t addrs[kWarpSize] = {};
     addrs[0] = 128 - 4;
     tb.loadGather(addrs, 8, 0x1);
-    const auto lines = coalesceLines(wt, wt.ops[0], 128);
+    const auto lines = coalesced(wt, wt.ops[0], 128);
     ASSERT_EQ(lines.size(), 2u);
     EXPECT_EQ(lines[0], 0u);
     EXPECT_EQ(lines[1], 1u);
@@ -61,7 +70,7 @@ TEST(Coalesce, DuplicateAddressesDeduplicated)
     for (unsigned l = 0; l < kWarpSize; ++l)
         addrs[l] = 0x2000; // all lanes same address
     tb.loadGather(addrs, 4, kFullMask);
-    EXPECT_EQ(coalesceLines(wt, wt.ops[0], 128).size(), 1u);
+    EXPECT_EQ(coalesced(wt, wt.ops[0], 128).size(), 1u);
 }
 
 struct LsuFixture : public ::testing::Test
