@@ -27,6 +27,12 @@ enum class SchedulerPolicy : std::uint8_t
     RoundRobin //!< loose round-robin (for ablations)
 };
 
+/**
+ * Most warp slots one sub-core can own: a sub-core orders its issue
+ * candidates in fixed scratch space of this size every cycle.
+ */
+constexpr unsigned kMaxWarpsPerSubCore = 64;
+
 /** Timing and capacity parameters for one SM and the whole GPU. */
 struct GpuConfig
 {
@@ -93,6 +99,13 @@ struct GpuConfig
     {
         mem.numL1 = numSms;
     }
+
+    /**
+     * Reject a configuration the timing model cannot run, with a
+     * fatal error naming the field, instead of a hang to the cycle
+     * bound or a generic wedge panic. Gpu's constructor calls it.
+     */
+    void validate() const;
 };
 
 } // namespace hsu

@@ -66,6 +66,7 @@ Gpu::Gpu(const GpuConfig &cfg, StatGroup &stats)
       statHorizonCycles_(stats.scalar("sim.horizon_cycles"))
 {
     cfg_.finalize();
+    cfg_.validate();
     mem_ = std::make_unique<MemorySystem>(cfg_.mem, stats_);
     for (unsigned i = 0; i < cfg_.numSms; ++i) {
         // Per-SM staging group: SMs share stat *names* ("sm.*",

@@ -188,7 +188,7 @@ Sm::tryIssue(unsigned slot, SubCore &sc, std::uint64_t now,
 
 unsigned
 Sm::buildCandidateOrder(const SubCore &sc,
-                        unsigned order[kMaxSlotsPerSubCore],
+                        unsigned order[kMaxWarpsPerSubCore],
                         unsigned &greedy_count) const
 {
     // Fixed scratch storage (this runs every sub-core cycle — no heap
@@ -238,7 +238,7 @@ Sm::issueSubCore(SubCore &sc, std::uint64_t now)
     }
     sc.stallValid = false;
 
-    unsigned order[kMaxSlotsPerSubCore];
+    unsigned order[kMaxWarpsPerSubCore];
     unsigned greedy_count = 0;
     unsigned count = buildCandidateOrder(sc, order, greedy_count);
     if (cfg_.scheduler == SchedulerPolicy::RoundRobin &&
@@ -430,7 +430,7 @@ Sm::fastForwardStats(Cycle now, Cycle next)
             continue;
         }
 
-        unsigned order[kMaxSlotsPerSubCore];
+        unsigned order[kMaxWarpsPerSubCore];
         unsigned greedy_count = 0;
         const unsigned count = buildCandidateOrder(sc, order,
                                                    greedy_count);

@@ -98,9 +98,6 @@ class Sm
         UnitBlocked,  //!< the LSU queue or the RT unit refused it
     };
 
-    /** Most warp slots one sub-core can own (issue-order scratch). */
-    static constexpr unsigned kMaxSlotsPerSubCore = 64;
-
     static constexpr std::size_t kNoPc = ~std::size_t{0};
 
     struct WarpCtx
@@ -162,7 +159,7 @@ class Sm
     /** Fill @p order with the sub-core's issue candidates (greedy warp
      *  first, then oldest-first) and return the candidate count. */
     unsigned buildCandidateOrder(const SubCore &sc,
-                                 unsigned order[kMaxSlotsPerSubCore],
+                                 unsigned order[kMaxWarpsPerSubCore],
                                  unsigned &greedy_count) const;
 
     const GpuConfig &cfg_;

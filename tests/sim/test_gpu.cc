@@ -216,5 +216,112 @@ TEST(GpuTiming, ManyWarpsAcrossSmsFinish)
     EXPECT_GT(r.cycles, 100u);
 }
 
+// --- GpuConfig::validate: one death test per rule --------------------
+
+/** Build a GPU on @p cfg; its constructor validates the config. */
+void
+buildGpu(const GpuConfig &cfg)
+{
+    StatGroup stats;
+    const Gpu gpu(cfg, stats);
+}
+
+TEST(GpuConfigValidate, DefaultsAreValid)
+{
+    GpuConfig cfg;
+    cfg.finalize();
+    cfg.validate();
+    SUCCEED();
+}
+
+TEST(GpuConfigValidate, ZeroSms)
+{
+    GpuConfig cfg;
+    cfg.numSms = 0;
+    EXPECT_DEATH(buildGpu(cfg), "GpuConfig.numSms = 0");
+}
+
+TEST(GpuConfigValidate, ZeroSubCores)
+{
+    GpuConfig cfg = tinyConfig();
+    cfg.subCoresPerSm = 0;
+    EXPECT_DEATH(buildGpu(cfg), "GpuConfig.subCoresPerSm = 0");
+}
+
+TEST(GpuConfigValidate, TooManyWarpSlotsPerSubCore)
+{
+    // 512 slots over 4 sub-cores would overflow the 64-entry candidate
+    // scratch of each sub-core.
+    GpuConfig cfg = tinyConfig();
+    cfg.maxWarpsPerSm = 512;
+    EXPECT_DEATH(buildGpu(cfg),
+                 "GpuConfig.maxWarpsPerSm = 512 gives a sub-core 128");
+    cfg.maxWarpsPerSm = 256; // exactly 64 per sub-core is fine
+    buildGpu(cfg);
+}
+
+TEST(GpuConfigValidate, ZeroLsuQueue)
+{
+    GpuConfig cfg = tinyConfig();
+    cfg.lsuQueueSize = 0;
+    EXPECT_DEATH(buildGpu(cfg), "GpuConfig.lsuQueueSize = 0");
+}
+
+TEST(GpuConfigValidate, ZeroWarpBuffer)
+{
+    GpuConfig cfg = tinyConfig();
+    cfg.warpBufferSize = 0;
+    EXPECT_DEATH(buildGpu(cfg), "GpuConfig.warpBufferSize = 0");
+    cfg.rtUnitEnabled = false; // the baseline GPU has no warp buffer
+    buildGpu(cfg);
+}
+
+TEST(GpuConfigValidate, ZeroL1Mshrs)
+{
+    GpuConfig cfg = tinyConfig();
+    cfg.mem.l1.mshrEntries = 0;
+    EXPECT_DEATH(buildGpu(cfg), "GpuConfig.mem.l1.mshrEntries = 0");
+}
+
+TEST(GpuConfigValidate, ZeroL1MissQueue)
+{
+    GpuConfig cfg = tinyConfig();
+    cfg.mem.l1.missQueueCapacity = 0;
+    EXPECT_DEATH(buildGpu(cfg), "GpuConfig.mem.l1.missQueueCapacity = 0");
+}
+
+TEST(GpuConfigValidate, ZeroL2Mshrs)
+{
+    GpuConfig cfg = tinyConfig();
+    cfg.mem.l2.mshrEntries = 0;
+    EXPECT_DEATH(buildGpu(cfg), "GpuConfig.mem.l2.mshrEntries = 0");
+}
+
+TEST(GpuConfigValidate, ZeroL2MissQueue)
+{
+    GpuConfig cfg = tinyConfig();
+    cfg.mem.l2.missQueueCapacity = 0;
+    EXPECT_DEATH(buildGpu(cfg), "GpuConfig.mem.l2.missQueueCapacity = 0");
+}
+
+TEST(GpuConfigValidate, MemoryOpWiderThanLsuQueue)
+{
+    // One line per lane: 32 line requests can never fit a 16-entry
+    // queue. The op is rejected by name when it is first coalesced.
+    GpuConfig cfg = tinyConfig();
+    cfg.lsuQueueSize = 16;
+    StatGroup stats;
+    KernelTrace trace;
+    trace.warps.emplace_back();
+    TraceBuilder tb(trace.warps[0]);
+    tb.loadPattern(0x10000, 128, 4);
+    EXPECT_DEATH(simulateKernel(cfg, trace, stats),
+                 "memory op at pc 0 coalesces to 32 line requests, more "
+                 "than the LSU queue holds \\(lsuQueueSize = 16\\)");
+    cfg.lsuQueueSize = 32;
+    simulateKernel(cfg, trace, stats);
+    EXPECT_EQ(stats.get("lsu.line_reqs"), 32.0);
+}
+
 } // namespace
 } // namespace hsu
