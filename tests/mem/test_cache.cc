@@ -165,5 +165,64 @@ TEST_F(CacheFixture, RetriedAccessNotDoubleCounted)
     EXPECT_EQ(stats.get("c.accesses"), 2.0); // reject not counted
 }
 
+// --- MemCompletion: the in-place completion callable -----------------
+
+TEST(MemCompletion, EmptyAndNullptrAreFalse)
+{
+    EXPECT_FALSE(MemCompletion{});
+    EXPECT_FALSE(MemCompletion{nullptr});
+}
+
+TEST(MemCompletion, HoldsAReferenceCapture)
+{
+    int done = 0;
+    const MemCompletion c = [&] { ++done; };
+    ASSERT_TRUE(c);
+    c();
+    const MemCompletion copy = c; // copies share the captured reference
+    copy();
+    EXPECT_EQ(done, 2);
+}
+
+TEST(MemCompletion, HoldsAFullSizeCapture)
+{
+    // The largest capture the simulator makes: two pointers and a mask.
+    struct Sink
+    {
+        std::uint64_t sum = 0;
+        unsigned calls = 0;
+    } sink;
+    std::uint64_t extra = 5;
+    std::uint64_t *px = &extra;
+    const std::uint32_t mask = 0x80000001u;
+    const auto fn = [s = &sink, px, mask]() {
+        s->sum += *px + mask;
+        ++s->calls;
+    };
+    static_assert(sizeof(fn) == MemCompletion::kCaptureBytes);
+    MemCompletion c = fn;
+    MemCompletion moved = std::move(c);
+    moved();
+    EXPECT_EQ(sink.calls, 1u);
+    EXPECT_EQ(sink.sum, 5u + 0x80000001u);
+    // Reassigning replaces the callable; nullptr empties it.
+    moved = [s = &sink] { s->calls += 10; };
+    moved();
+    EXPECT_EQ(sink.calls, 11u);
+    moved = nullptr;
+    EXPECT_FALSE(moved);
+}
+
+TEST_F(CacheFixture, CompletionFiresThroughReadyQueue)
+{
+    auto c = make();
+    int done = 0;
+    EXPECT_EQ(c->access(0x7000, true, [&] { ++done; }, 0),
+              CacheOutcome::Hit);
+    for (std::uint64_t t = 0; t <= params.hitLatency; ++t)
+        c->tick(t);
+    EXPECT_EQ(done, 1);
+}
+
 } // namespace
 } // namespace hsu

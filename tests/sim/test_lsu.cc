@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.hh"
 #include "common/stats.hh"
 #include "sim/lsu.hh"
 
@@ -73,6 +76,77 @@ TEST(Coalesce, DuplicateAddressesDeduplicated)
     EXPECT_EQ(coalesced(wt, wt.ops[0], 128).size(), 1u);
 }
 
+/** The per-call coalescer the SM used before warps kept a buffer. */
+std::vector<std::uint64_t>
+referenceLines(const WarpTrace &trace, const TraceOp &op,
+               unsigned line_bytes)
+{
+    std::vector<std::uint64_t> lines;
+    for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+        if (!(op.activeMask & (1u << lane)))
+            continue;
+        const std::uint64_t addr = trace.laneAddr(op, lane);
+        for (std::uint64_t l = addr / line_bytes;
+             l <= (addr + op.bytesPerLane - 1) / line_bytes; ++l) {
+            lines.push_back(l);
+        }
+    }
+    std::sort(lines.begin(), lines.end());
+    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
+    return lines;
+}
+
+TEST(Coalesce, ReusedBufferMatchesPerCallResult)
+{
+    // One buffer serves every op in turn, as a warp's does: it must
+    // hold exactly each op's lines, whatever the previous op left.
+    WarpTrace wt;
+    TraceBuilder tb(wt);
+    Rng rng(41);
+    for (int i = 0; i < 400; ++i) {
+        const auto mask = static_cast<std::uint32_t>(
+            i % 4 == 0 ? kFullMask : rng.nextBounded(1ull << 32));
+        const auto bytes =
+            static_cast<unsigned>(1 + rng.nextBounded(i % 3 == 0 ? 300 : 16));
+        if (i % 2 == 0) {
+            // Pattern: dense, strided, negative and zero strides.
+            const std::int32_t strides[] = {4, 8, 128, 132, -4, 0, 260};
+            tb.loadPattern(0x100000 + rng.nextBounded(1 << 16),
+                           strides[rng.nextBounded(7)], bytes, mask);
+        } else {
+            // Gather: clustered addresses so lanes share, straddle and
+            // duplicate lines.
+            std::uint64_t addrs[kWarpSize];
+            for (auto &a : addrs)
+                a = 0x200000 + rng.nextBounded(i % 3 == 0 ? 64 : 2048);
+            tb.loadGather(addrs, bytes, mask);
+        }
+    }
+    std::vector<std::uint64_t> buffer;
+    for (const unsigned line_bytes : {32u, 128u}) {
+        for (const TraceOp &op : wt.ops) {
+            coalesceLines(wt, op, line_bytes, buffer);
+            ASSERT_EQ(buffer, referenceLines(wt, op, line_bytes));
+        }
+    }
+}
+
+TEST(Coalesce, PartialMaskStraddleAndDuplicates)
+{
+    WarpTrace wt;
+    TraceBuilder tb(wt);
+    std::uint64_t addrs[kWarpSize] = {};
+    addrs[0] = 128 - 4;  // straddles lines 0 and 1
+    addrs[1] = 128 - 4;  // duplicate of lane 0
+    addrs[2] = 1000;     // line 7
+    addrs[3] = 129;      // line 1 again
+    addrs[4] = 5000;     // masked off
+    tb.loadGather(addrs, 8, 0x0000000f);
+    std::vector<std::uint64_t> buffer = {99, 98, 97}; // stale contents
+    coalesceLines(wt, wt.ops[0], 128, buffer);
+    EXPECT_EQ(buffer, (std::vector<std::uint64_t>{0, 1, 7}));
+}
+
 struct LsuFixture : public ::testing::Test
 {
     StatGroup stats;
@@ -121,6 +195,49 @@ TEST_F(LsuFixture, GroupCompletesWhenAllLinesReturn)
     EXPECT_EQ(done, 1);
     EXPECT_EQ(stats.get("lsu.line_reqs"), 3.0);
     EXPECT_EQ(stats.get("lsu.mem_instrs"), 1.0);
+}
+
+TEST_F(LsuFixture, GroupSlotFiresOnceThenIsReused)
+{
+    int done = 0;
+    ASSERT_TRUE(lsu.issue({20, 21}, false, [&] { ++done; }));
+    EXPECT_EQ(lsu.groupSlots(), 1u);
+    // Tick until the first line has come back but not the second.
+    std::uint64_t first_back = 0;
+    for (int i = 0; i < 100 && done == 0; ++i) {
+        tickAll();
+        if (first_back == 0 && stats.get("l1.misses") == 2.0 &&
+            fills.size() == 1) {
+            first_back = now;
+            EXPECT_EQ(done, 0) << "fired before its last line returned";
+        }
+    }
+    EXPECT_NE(first_back, 0u) << "lines never returned one at a time";
+    EXPECT_EQ(done, 1);
+    for (int i = 0; i < 50; ++i)
+        tickAll();
+    EXPECT_EQ(done, 1) << "fired more than once";
+
+    // The freed slot serves the next instruction: no new slot.
+    int again = 0;
+    ASSERT_TRUE(lsu.issue({30}, false, [&] { ++again; }));
+    EXPECT_EQ(lsu.groupSlots(), 1u);
+    for (int i = 0; i < 100 && again == 0; ++i)
+        tickAll();
+    EXPECT_EQ(again, 1);
+    EXPECT_EQ(done, 1);
+}
+
+TEST_F(LsuFixture, HasRoomTracksQueueOccupancy)
+{
+    EXPECT_TRUE(lsu.hasRoom(8));
+    EXPECT_FALSE(lsu.hasRoom(9));
+    ASSERT_TRUE(lsu.issue({1, 2, 3}, false, nullptr));
+    EXPECT_TRUE(lsu.hasRoom(5));
+    EXPECT_FALSE(lsu.hasRoom(6));
+    EXPECT_TRUE(lsu.tick(true, now)); // the L1 takes the head request
+    EXPECT_TRUE(lsu.hasRoom(6));
+    EXPECT_FALSE(lsu.tick(false, now)); // no port, no pop
 }
 
 TEST_F(LsuFixture, QueueCapacityRefusesOversizedIssue)
