@@ -152,12 +152,14 @@ Sm::tryIssue(unsigned slot, SubCore &sc, std::uint64_t now,
         // Ask for room first: a refused attempt builds nothing.
         if (!lsu_->hasRoom(w.lines.size()))
             return TryResult::UnitBlocked;
-        if (op.type == OpType::Load) {
-            lsu_->issue(w.lines, false, token_done);
+        const bool accepted =
+            op.type == OpType::Load
+                ? lsu_->issue(w.lines, false, token_done)
+                : lsu_->issue(w.lines, true,
+                              [wp]() { --wp->outstanding; });
+        hsu_debug_assert(accepted, "LSU refused an issue it had room for");
+        if (op.type == OpType::Load)
             w.pendingTokens |= prod_mask;
-        } else {
-            lsu_->issue(w.lines, true, [wp]() { --wp->outstanding; });
-        }
         ++w.outstanding;
         ++statInstrsIssued_;
         ++w.pc;
