@@ -28,7 +28,7 @@ coalesceLines(const WarpTrace &trace, const TraceOp &op,
 
 Lsu::Lsu(unsigned queue_capacity, Cache &l1, StatGroup &stats,
          const std::string &name)
-    : capacity_(queue_capacity), l1_(l1), ring_(queue_capacity),
+    : capacity_(queue_capacity), l1_(l1),
       statInstrs_(stats.scalar(name + ".mem_instrs")),
       statLineReqs_(stats.scalar(name + ".line_reqs")),
       statPortCycles_(stats.scalar(name + ".port_cycles")),
@@ -59,13 +59,8 @@ Lsu::issue(const std::vector<std::uint64_t> &lines, bool write,
     groups_[group].remaining = static_cast<unsigned>(lines.size());
     groups_[group].done = done;
 
-    for (const auto line : lines) {
-        std::size_t tail = head_ + count_;
-        if (tail >= capacity_)
-            tail -= capacity_;
-        ring_[tail] = LineReq{line, group, write};
-        ++count_;
-    }
+    for (const auto line : lines)
+        queue_.push_back(LineReq{line, group, write});
     return true;
 }
 
@@ -85,11 +80,11 @@ Lsu::lineDone(std::uint32_t group)
 bool
 Lsu::tick(bool port_granted, std::uint64_t now)
 {
-    if (!port_granted || count_ == 0)
+    if (!port_granted || queue_.empty())
         return false;
 
     ++statPortCycles_;
-    const LineReq &req = ring_[head_];
+    const LineReq &req = queue_.front();
     const std::uint32_t group = req.group;
     const std::uint64_t byte_addr = req.line * l1_.params().lineBytes;
     const CacheOutcome outcome = l1_.access(
@@ -101,9 +96,7 @@ Lsu::tick(bool port_granted, std::uint64_t now)
         ++statRetries_;
         return false;
     }
-    if (++head_ == capacity_)
-        head_ = 0;
-    --count_;
+    queue_.pop_front();
     return true;
 }
 

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -50,7 +51,7 @@ class Lsu
     bool
     hasRoom(std::size_t lines) const
     {
-        return count_ + lines <= capacity_;
+        return queue_.size() + lines <= capacity_;
     }
 
     /**
@@ -66,7 +67,7 @@ class Lsu
                MemCompletion done);
 
     /** True when a line request is waiting for the L1 port. */
-    bool wantsAccess() const { return count_ != 0; }
+    bool wantsAccess() const { return !queue_.empty(); }
 
     /**
      * Present at most one request to the L1 if @p port_granted.
@@ -76,7 +77,7 @@ class Lsu
     bool tick(bool port_granted, std::uint64_t now);
 
     /** True when no request is queued (in-flight L1 side not counted). */
-    bool drained() const { return count_ == 0; }
+    bool drained() const { return queue_.empty(); }
 
     /**
      * Earliest future cycle tick() could act on its own: the queue
@@ -87,7 +88,7 @@ class Lsu
     Cycle
     nextEventCycle(Cycle now) const
     {
-        return count_ == 0 ? kNeverCycle : now + 1;
+        return queue_.empty() ? kNeverCycle : now + 1;
     }
 
     /**
@@ -117,10 +118,7 @@ class Lsu
 
     unsigned capacity_;
     Cache &l1_;
-    /** The request queue: a ring of capacity_ entries. */
-    std::vector<LineReq> ring_;
-    std::size_t head_ = 0;
-    std::size_t count_ = 0;
+    std::deque<LineReq> queue_;
     std::vector<Group> groups_;
     std::vector<std::uint32_t> freeGroups_;
 
