@@ -244,20 +244,29 @@ TEST(GoldenStats, RoundRobin)
 // One warp-buffer entry: dispatches are rejected for want of an entry
 // on most cycles, and every entry's Ready->Issuing start and end gate
 // the next dispatch.
+const std::vector<Pin> kWarpBuffer1Pins = {
+    {"ggnn_euclid/hsu", 20320, 0x3ffe8ee9fcf9564aull},
+    {"ggnn_angular/hsu", 10471, 0x23a48587759a424full},
+    {"flann/hsu", 12067, 0xf5935ed710877313ull},
+    {"bvhnn/hsu", 3224, 0x26c597d19c84c6b0ull},
+    {"btree/hsu", 2293, 0xa16bf61a02572f52ull},
+    {"rtindex/base", 5903, 0x12499ac784572129ull},
+    {"rtindex/hsu", 3509, 0xbe301a748054605bull},
+};
+
 TEST(GoldenStats, WarpBuffer1)
 {
     GpuConfig cfg = defaults();
     cfg.warpBufferSize = 1;
-    expectPinned(cfg, true,
-                 {
-                     {"ggnn_euclid/hsu", 20320, 0x3ffe8ee9fcf9564aull},
-                     {"ggnn_angular/hsu", 10471, 0x23a48587759a424full},
-                     {"flann/hsu", 12067, 0xf5935ed710877313ull},
-                     {"bvhnn/hsu", 3224, 0x26c597d19c84c6b0ull},
-                     {"btree/hsu", 2293, 0xa16bf61a02572f52ull},
-                     {"rtindex/base", 5903, 0x12499ac784572129ull},
-                     {"rtindex/hsu", 3509, 0xbe301a748054605bull},
-                 });
+    expectPinned(cfg, true, kWarpBuffer1Pins);
+}
+
+TEST(GoldenStats, WarpBuffer1SimJobs4)
+{
+    GpuConfig cfg = defaults();
+    cfg.warpBufferSize = 1;
+    cfg.simJobs = 4;
+    expectPinned(cfg, true, kWarpBuffer1Pins);
 }
 
 // Unmerged node fetches: one L1 access per entry and line.
@@ -299,6 +308,125 @@ TEST(GoldenStats, OneSm)
                      {"rtindex/base", 4744, 0xd8d27cf12a68d024ull},
                      {"rtindex/hsu", 2830, 0x6846a88c5d03ea09ull},
                  });
+}
+
+
+// The refusal paths: an L1 request the cache refuses is retried until
+// a fill or a miss-queue pop could let it in. Each variant below makes
+// one refusal kind common, and runs under the loop the environment
+// selects and under the horizon loop, whose SMs only wake for their
+// own events and their L1's completions. Captured before refused L1
+// requests were parked (DESIGN.md "Simulation execution").
+
+// A two-entry L1 miss queue: reads and writes are refused for a full
+// queue, and a pop (not a fill) is what admits the refused head.
+const std::vector<Pin> kL1MissQueue2Pins = {
+    {"ggnn_euclid/base", 34531, 0xbc2e17e7b64180a9ull},
+    {"ggnn_euclid/hsu", 12338, 0x5e2bfdef8bb6d7e4ull},
+    {"ggnn_angular/base", 27408, 0x97600918988084d5ull},
+    {"ggnn_angular/hsu", 10113, 0x38ff5c754c1ea665ull},
+    {"flann/base", 16444, 0x47ad8716ea26125full},
+    {"flann/hsu", 4234, 0x859fdde46bad2ad1ull},
+    {"bvhnn/base", 3254, 0x048ff722fc99beeaull},
+    {"bvhnn/hsu", 3224, 0x682fbc821f876f05ull},
+    {"btree/base", 2347, 0xb15b9f8ed8d35663ull},
+    {"btree/hsu", 2255, 0xf800398819dad30dull},
+    {"rtindex/base", 4461, 0x4b004f30d599f0ceull},
+    {"rtindex/hsu", 2853, 0xdd2be61041a61c45ull},
+};
+
+GpuConfig
+l1MissQueue2()
+{
+    GpuConfig cfg = defaults();
+    cfg.mem.l1.missQueueCapacity = 2;
+    return cfg;
+}
+
+TEST(GoldenStats, L1MissQueue2)
+{
+    expectPinned(l1MissQueue2(), false, kL1MissQueue2Pins);
+}
+
+TEST(GoldenStats, L1MissQueue2SimJobs4)
+{
+    GpuConfig cfg = l1MissQueue2();
+    cfg.simJobs = 4;
+    expectPinned(cfg, false, kL1MissQueue2Pins);
+}
+
+// One waiter per L1 MSHR entry: a second read of a pending line is
+// refused until that line's fill.
+const std::vector<Pin> kL1Merges1Pins = {
+    {"ggnn_euclid/base", 34716, 0xb878e23cc7661292ull},
+    {"ggnn_euclid/hsu", 12246, 0xb75bb8f9c445b539ull},
+    {"ggnn_angular/base", 27442, 0x0971b250b9ccab7aull},
+    {"ggnn_angular/hsu", 10126, 0x60ceb0234acae0e1ull},
+    {"flann/base", 17269, 0xabd49926615ba79cull},
+    {"flann/hsu", 4234, 0x74756e96c2b41d26ull},
+    {"bvhnn/base", 3894, 0x074d6e4cc3d14f66ull},
+    {"bvhnn/hsu", 3224, 0x26c597d19c84c6b0ull},
+    {"btree/base", 3877, 0xe10d627354ced7d0ull},
+    {"btree/hsu", 4508, 0xa18a4883e0a1a3d2ull},
+    {"rtindex/base", 4461, 0xf6d5058320145033ull},
+    {"rtindex/hsu", 2853, 0x47f63871d12d9ff6ull},
+};
+
+GpuConfig
+l1Merges1()
+{
+    GpuConfig cfg = defaults();
+    cfg.mem.l1.mshrMergesPerEntry = 1;
+    return cfg;
+}
+
+TEST(GoldenStats, L1Merges1)
+{
+    expectPinned(l1Merges1(), false, kL1Merges1Pins);
+}
+
+TEST(GoldenStats, L1Merges1SimJobs4)
+{
+    GpuConfig cfg = l1Merges1();
+    cfg.simJobs = 4;
+    expectPinned(cfg, false, kL1Merges1Pins);
+}
+
+// Four L2 MSHRs: the L2 refuses most misses, L1 misses stay pending
+// longer, and the L1s' MSHR files fill up behind them.
+const std::vector<Pin> kL2Mshr4Pins = {
+    {"ggnn_euclid/base", 35719, 0x1f64bb33af4855c3ull},
+    {"ggnn_euclid/hsu", 21552, 0xd553c35e7d9e62ddull},
+    {"ggnn_angular/base", 27552, 0x589f703f2dcfd0c4ull},
+    {"ggnn_angular/hsu", 11794, 0x379fb297d1a65852ull},
+    {"flann/base", 16822, 0x7befe0e870589dd1ull},
+    {"flann/hsu", 4808, 0x8aa89b693fdf00f6ull},
+    {"bvhnn/base", 4068, 0x4d09f4e1cace0b5aull},
+    {"bvhnn/hsu", 4030, 0x9a9ffce0b17e3627ull},
+    {"btree/base", 6820, 0xcb3679d72d099da7ull},
+    {"btree/hsu", 6770, 0xb4148303190f6737ull},
+    {"rtindex/base", 11659, 0x17a4823fdbae1992ull},
+    {"rtindex/hsu", 6093, 0x2a998b09ebd21febull},
+};
+
+GpuConfig
+l2Mshr4()
+{
+    GpuConfig cfg = defaults();
+    cfg.mem.l2.mshrEntries = 4;
+    return cfg;
+}
+
+TEST(GoldenStats, L2Mshr4)
+{
+    expectPinned(l2Mshr4(), false, kL2Mshr4Pins);
+}
+
+TEST(GoldenStats, L2Mshr4SimJobs4)
+{
+    GpuConfig cfg = l2Mshr4();
+    cfg.simJobs = 4;
+    expectPinned(cfg, false, kL2Mshr4Pins);
 }
 
 } // namespace
