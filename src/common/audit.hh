@@ -126,8 +126,9 @@ orderedKeys(const Container &c)
  * Register a nondeterminism source at static initialization. Place at
  * namespace scope in the .cc that owns the source:
  *
- *   HSU_AUDIT_NONDET_SOURCE(kMshrAudit,
- *       hsu::audit::NondetKind::UnorderedIteration, "cache.cc:mshr_",
+ *   HSU_AUDIT_NONDET_SOURCE(kPendingLinesAudit,
+ *       hsu::audit::NondetKind::UnorderedIteration,
+ *       "rtunit.cc:pendingLines_",
  *       "key-lookup only; never iterated into stats or traces");
  */
 #define HSU_AUDIT_NONDET_SOURCE(var, kind, site, discipline)                \

@@ -1,26 +1,61 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 
-#include "common/audit.hh"
 #include "common/logging.hh"
 
 namespace hsu
 {
 
-namespace
+MshrIndex::MshrIndex(unsigned max_entries)
+    : table_(std::bit_ceil(2 * std::max(1u, max_entries))),
+      mask_(table_.size() - 1),
+      shift_(64 - static_cast<unsigned>(std::countr_zero(table_.size())))
 {
+}
 
-[[maybe_unused]] HSU_AUDIT_NONDET_SOURCE(
-    kMshrAudit, audit::NondetKind::UnorderedIteration, "cache.cc:mshr_",
-    "hash map accessed by line key only (find/erase); never iterated "
-    "into stats, traces, or event-cycle scans");
+void
+MshrIndex::insert(std::uint64_t line, std::uint32_t slot)
+{
+    std::size_t b = homeBucket(line);
+    for (; table_[b].slot != kNoSlot; b = (b + 1) & mask_) {
+        hsu_debug_assert(table_[b].line != line,
+                         "MSHR index: line mapped twice");
+    }
+    table_[b] = Bucket{line, slot};
+}
 
-} // namespace
+std::uint32_t
+MshrIndex::erase(std::uint64_t line)
+{
+    std::size_t hole = homeBucket(line);
+    for (; table_[hole].line != line; hole = (hole + 1) & mask_) {
+        if (table_[hole].slot == kNoSlot)
+            return kNoSlot;
+    }
+    const std::uint32_t slot = table_[hole].slot;
+    if (slot == kNoSlot)
+        return kNoSlot;
+    // Backward shift: pull each later entry of the run into the hole
+    // when the hole lies on its probe path (from its home bucket to
+    // where it sits), so every remaining line stays findable.
+    for (std::size_t b = (hole + 1) & mask_; table_[b].slot != kNoSlot;
+         b = (b + 1) & mask_) {
+        const std::size_t home_to_b =
+            (b - homeBucket(table_[b].line)) & mask_;
+        if (home_to_b >= ((b - hole) & mask_)) {
+            table_[hole] = table_[b];
+            hole = b;
+        }
+    }
+    table_[hole].slot = kNoSlot;
+    return slot;
+}
 
 Cache::Cache(CacheParams params, StatGroup &stats)
-    : params_(std::move(params)),
+    : params_(std::move(params)), mshrIndex_(params_.mshrEntries),
       statAccesses_(stats.scalar(params_.name + ".accesses")),
       statReadAccesses_(stats.scalar(params_.name + ".read_accesses")),
       statHits_(stats.scalar(params_.name + ".hits")),
@@ -35,6 +70,12 @@ Cache::Cache(CacheParams params, StatGroup &stats)
     hsu_assert(lines >= params_.assoc, "cache smaller than one set");
     numSets_ = static_cast<unsigned>(lines / params_.assoc);
     sets_.assign(numSets_, std::vector<Way>(params_.assoc));
+    mshrWaiters_.resize(std::size_t{params_.mshrEntries} *
+                        params_.mshrMergesPerEntry);
+    mshrWaiterCount_.assign(params_.mshrEntries, 0);
+    // Slot 0 is handed out first; slot choice is never observable.
+    for (unsigned slot = params_.mshrEntries; slot-- > 0;)
+        mshrFree_.push_back(slot);
 }
 
 bool
@@ -78,13 +119,6 @@ Cache::install(std::uint64_t line_addr, std::uint64_t now)
     victim->lastUse = now;
 }
 
-void
-Cache::scheduleDone(MemCompletion done, std::uint64_t ready)
-{
-    if (done)
-        ready_.push(PendingDone{ready, seq_++, std::move(done)});
-}
-
 CacheOutcome
 Cache::access(std::uint64_t addr, bool write, MemCompletion done,
               std::uint64_t now)
@@ -102,7 +136,8 @@ Cache::access(std::uint64_t addr, bool write, MemCompletion done,
         ++statWrites_;
         lookup(line, now); // refresh LRU if present
         missQueue_.emplace_back(line, true);
-        scheduleDone(std::move(done), now + params_.hitLatency);
+        if (done)
+            ready_.push(kHitStream, now + params_.hitLatency, done);
         return CacheOutcome::Hit;
     }
 
@@ -112,24 +147,27 @@ Cache::access(std::uint64_t addr, bool write, MemCompletion done,
         ++statAccesses_;
         ++statReadAccesses_;
         ++statHits_;
-        scheduleDone(std::move(done), now + params_.hitLatency);
+        if (done)
+            ready_.push(kHitStream, now + params_.hitLatency, done);
         return CacheOutcome::Hit;
     }
 
-    auto mshr_it = mshr_.find(line);
-    if (mshr_it != mshr_.end()) {
-        if (mshr_it->second.waiters.size() >= params_.mshrMergesPerEntry) {
+    const unsigned merges = params_.mshrMergesPerEntry;
+    std::uint32_t slot = mshrIndex_.find(line);
+    if (slot != MshrIndex::kNoSlot) {
+        unsigned &waiters = mshrWaiterCount_[slot];
+        if (waiters >= merges) {
             ++statRejects_;
             return CacheOutcome::RejectMshrFull;
         }
         ++statAccesses_;
         ++statReadAccesses_;
         ++statHitReserved_;
-        mshr_it->second.waiters.push_back(std::move(done));
+        mshrWaiters_[std::size_t{slot} * merges + waiters++] = done;
         return CacheOutcome::HitReserved;
     }
 
-    if (mshr_.size() >= params_.mshrEntries) {
+    if (mshrFree_.empty()) {
         ++statRejects_;
         return CacheOutcome::RejectMshrFull;
     }
@@ -141,7 +179,11 @@ Cache::access(std::uint64_t addr, bool write, MemCompletion done,
     ++statAccesses_;
     ++statReadAccesses_;
     ++statMisses_;
-    mshr_[line].waiters.push_back(std::move(done));
+    slot = mshrFree_.back();
+    mshrFree_.pop_back();
+    mshrIndex_.insert(line, slot);
+    mshrWaiters_[std::size_t{slot} * merges] = done;
+    mshrWaiterCount_[slot] = 1;
     missQueue_.emplace_back(line, false);
     return CacheOutcome::Miss;
 }
@@ -150,41 +192,49 @@ void
 Cache::fill(std::uint64_t line_addr, std::uint64_t now)
 {
     install(line_addr, now);
-    auto it = mshr_.find(line_addr);
-    hsu_assert(it != mshr_.end(), params_.name,
+    const std::uint32_t slot = mshrIndex_.erase(line_addr);
+    hsu_assert(slot != MshrIndex::kNoSlot, params_.name,
                ": fill for line with no MSHR entry");
-    for (auto &waiter : it->second.waiters)
-        scheduleDone(std::move(waiter), now);
-    mshr_.erase(it);
+    const MemCompletion *waiters =
+        &mshrWaiters_[std::size_t{slot} * params_.mshrMergesPerEntry];
+    for (unsigned i = 0; i < mshrWaiterCount_[slot]; ++i) {
+        if (waiters[i])
+            ready_.push(kFillStream, now, waiters[i]);
+    }
+    mshrWaiterCount_[slot] = 0;
+    mshrFree_.push_back(slot);
+    ++freeGen_;
 }
 
 void
 Cache::tick(std::uint64_t now)
 {
-    // Retire due completions.
+    // Retire due completions. The callback may access this cache
+    // again, so popDue removes it first.
     bool fired = false;
-    while (!ready_.empty() && ready_.top().ready <= now) {
-        // The callback may access this cache again; pop first.
-        MemCompletion done = std::move(
-            const_cast<PendingDone &>(ready_.top()).done);
-        ready_.pop();
+    MemCompletion done;
+    while (ready_.popDue(now, done)) {
         done();
         fired = true;
     }
-    if (fired && completionObserver_)
-        completionObserver_();
     // Drain the miss/write queue downstream while accepted.
     while (!missQueue_.empty() && sendLower_ &&
            sendLower_(missQueue_.front().first, missQueue_.front().second,
                       now)) {
         missQueue_.pop_front();
+        ++freeGen_;
+    }
+    if (completionObserver_ && (fired || freeGen_ != observedGen_)) {
+        observedGen_ = freeGen_;
+        completionObserver_();
     }
 }
 
 bool
 Cache::idle() const
 {
-    return mshr_.empty() && missQueue_.empty() && ready_.empty();
+    return mshrFree_.size() == params_.mshrEntries && missQueue_.empty() &&
+           ready_.empty();
 }
 
 Cycle
@@ -193,7 +243,7 @@ Cache::nextEventCycle(Cycle now) const
     if (!missQueue_.empty())
         return now + 1;
     if (!ready_.empty())
-        return std::max(ready_.top().ready, now + 1);
+        return std::max(ready_.headReady(), now + 1);
     return kNeverCycle;
 }
 

@@ -13,15 +13,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <new>
-#include <queue>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/cycletime.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 
 namespace hsu
@@ -75,6 +75,140 @@ class MemCompletion
 };
 
 static_assert(std::is_trivially_copyable_v<MemCompletion>);
+
+/**
+ * Completions waiting for their ready cycle, kept as two FIFO streams.
+ *
+ * A component whose completions each fall due at `now + L` for one of
+ * two fixed latencies L (a cache: hit latency or the fill cycle; DRAM:
+ * row hit or row miss), with `now` never decreasing, pushes each
+ * stream in (ready, seq) order, seq being one counter over both
+ * streams. Popping the head with the smaller (ready, seq) therefore
+ * yields exactly the order a (ready, seq) min-heap would, at O(1) per
+ * completion.
+ */
+class CompletionStreams
+{
+  public:
+    /** Queue @p done on @p stream (0 or 1), due at @p ready. */
+    void
+    push(unsigned stream, std::uint64_t ready, MemCompletion done)
+    {
+        std::deque<Pending> &q = streams_[stream];
+        // Per-access path: release builds skip the check.
+        hsu_debug_assert(q.empty() || q.back().ready <= ready,
+                         "completion stream pushed out of ready order");
+        q.push_back(Pending{ready, seq_++, done});
+    }
+
+    /**
+     * Pop the first completion in (ready, seq) order if it is due at
+     * @p now into @p done; false when none is due.
+     */
+    bool
+    popDue(std::uint64_t now, MemCompletion &done)
+    {
+        const int s = firstStream();
+        if (s < 0 || streams_[s].front().ready > now)
+            return false;
+        done = streams_[s].front().done;
+        streams_[s].pop_front();
+        return true;
+    }
+
+    /** Ready cycle of the first completion; kNeverCycle when empty. */
+    Cycle
+    headReady() const
+    {
+        const int s = firstStream();
+        return s < 0 ? kNeverCycle : streams_[s].front().ready;
+    }
+
+    bool empty() const { return size() == 0; }
+
+    std::size_t size() const
+    { return streams_[0].size() + streams_[1].size(); }
+
+  private:
+    struct Pending
+    {
+        std::uint64_t ready;
+        std::uint64_t seq;
+        MemCompletion done;
+    };
+
+    /** The stream whose head comes first; -1 when both are empty. */
+    int
+    firstStream() const
+    {
+        if (streams_[0].empty())
+            return streams_[1].empty() ? -1 : 1;
+        if (streams_[1].empty())
+            return 0;
+        const Pending &a = streams_[0].front();
+        const Pending &b = streams_[1].front();
+        const bool a_first =
+            a.ready != b.ready ? a.ready < b.ready : a.seq < b.seq;
+        return a_first ? 0 : 1;
+    }
+
+    std::deque<Pending> streams_[2];
+    std::uint64_t seq_ = 0;
+};
+
+/**
+ * Line -> slot map of an MSHR file: open addressing over a power-of-two
+ * table kept at most half full, Fibonacci hashing, linear probing and
+ * backward-shift deletion (no tombstones, so probes stay short however
+ * long the run). Only ever looked up by key; iteration order does not
+ * exist, so nothing observable depends on the hash.
+ */
+class MshrIndex
+{
+  public:
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+    /** An index for at most @p max_entries lines at once. */
+    explicit MshrIndex(unsigned max_entries);
+
+    /** The slot of @p line, or kNoSlot. */
+    std::uint32_t
+    find(std::uint64_t line) const
+    {
+        for (std::size_t b = homeBucket(line);; b = (b + 1) & mask_) {
+            const Bucket &e = table_[b];
+            if (e.slot == kNoSlot || e.line == line)
+                return e.slot;
+        }
+    }
+
+    /** Map @p line, which must be absent, to @p slot. */
+    void insert(std::uint64_t line, std::uint32_t slot);
+
+    /** Unmap @p line; returns its slot, or kNoSlot when unmapped. */
+    std::uint32_t erase(std::uint64_t line);
+
+    /** The bucket @p line's probe starts at. */
+    std::size_t
+    homeBucket(std::uint64_t line) const
+    {
+        return static_cast<std::size_t>(
+            (line * 0x9e3779b97f4a7c15ull) >> shift_);
+    }
+
+    std::size_t buckets() const { return table_.size(); }
+
+  private:
+    struct Bucket
+    {
+        std::uint64_t line = 0;
+        std::uint32_t slot = kNoSlot;
+    };
+
+    std::vector<Bucket> table_;
+    std::size_t mask_;
+    unsigned shift_;
+};
 
 /** Cache geometry and timing parameters. */
 struct CacheParams
@@ -133,13 +267,15 @@ class Cache
     }
 
     /**
-     * Observer invoked at most once per tick() after any completion
-     * callbacks fired. Every cross-boundary wake an SM can receive —
-     * LSU group done, store retire, HSU op done, RT-unit line arrival
-     * — is delivered through this cache's completion queue, so one
-     * observer per L1 lets the owning SM learn "my state changed this
-     * cycle" without enumerating the callback sites. Purely a
-     * host-side wake signal; no timing effect.
+     * Observer invoked at most once per tick() when completion
+     * callbacks fired or the free generation moved since the last call.
+     * Every cross-boundary wake an SM can receive — LSU group done,
+     * store retire, HSU op done, RT-unit line arrival — is delivered
+     * through this cache's completion streams, and a generation move is
+     * what un-parks a refused request, so one observer per L1 lets the
+     * owning SM learn "my state changed this cycle" without enumerating
+     * the callback sites. Purely a host-side wake signal; no timing
+     * effect.
      */
     void
     setCompletionObserver(std::function<void()> f)
@@ -149,6 +285,21 @@ class Cache
 
     /** True when no MSHR is pending and all queues are empty. */
     bool idle() const;
+
+    /**
+     * Free generation: bumped by every fill and every miss-queue pop,
+     * the only events that can turn a refused access into an accepted
+     * one. A refused read is never a hit (only a fill installs a
+     * line), MSHR entries and their merge slots free only on a fill,
+     * and miss-queue room appears only on a pop. So while the
+     * generation holds, a refused request would be refused again, and
+     * its requester may count the refusal without asking
+     * (accountParkedRejects) instead of calling access().
+     */
+    std::uint64_t freeGeneration() const { return freeGen_; }
+
+    /** Count @p n refusals of requests parked on the free generation. */
+    void accountParkedRejects(double n) { statRejects_ += n; }
 
     /**
      * Earliest future cycle at which tick() could act on its own:
@@ -165,7 +316,11 @@ class Cache
     const CacheParams &params() const { return params_; }
 
     /** MSHR entries currently in use (for contention experiments). */
-    std::size_t mshrInUse() const { return mshr_.size(); }
+    std::size_t
+    mshrInUse() const
+    {
+        return params_.mshrEntries - mshrFree_.size();
+    }
 
   private:
     struct Way
@@ -175,36 +330,31 @@ class Cache
         std::uint64_t lastUse = 0;
     };
 
-    struct MshrEntry
-    {
-        std::vector<MemCompletion> waiters;
-    };
-
-    struct PendingDone
-    {
-        std::uint64_t ready;
-        std::uint64_t seq;
-        MemCompletion done;
-        bool operator>(const PendingDone &o) const
-        {
-            return ready != o.ready ? ready > o.ready : seq > o.seq;
-        }
-    };
+    /** Completion streams: due hitLatency after the access, or at a fill. */
+    static constexpr unsigned kHitStream = 0;
+    static constexpr unsigned kFillStream = 1;
 
     bool lookup(std::uint64_t line_addr, std::uint64_t now);
     void install(std::uint64_t line_addr, std::uint64_t now);
-    void scheduleDone(MemCompletion done, std::uint64_t ready);
 
     CacheParams params_;
     unsigned numSets_;
     std::vector<std::vector<Way>> sets_;
-    std::unordered_map<std::uint64_t, MshrEntry> mshr_;
+
+    // The MSHR file: mshrEntries slots, each with room for
+    // mshrMergesPerEntry waiters in mshrWaiters_ (slot-major), found
+    // by line through mshrIndex_.
+    MshrIndex mshrIndex_;
+    std::vector<MemCompletion> mshrWaiters_;
+    std::vector<unsigned> mshrWaiterCount_;
+    std::vector<std::uint32_t> mshrFree_;
+
     std::deque<std::pair<std::uint64_t, bool>> missQueue_;
-    std::priority_queue<PendingDone, std::vector<PendingDone>,
-                        std::greater<>> ready_;
+    CompletionStreams ready_;
     std::function<bool(std::uint64_t, bool, std::uint64_t)> sendLower_;
     std::function<void()> completionObserver_;
-    std::uint64_t seq_ = 0;
+    std::uint64_t freeGen_ = 0;
+    std::uint64_t observedGen_ = 0; //!< freeGen_ at the last observer call
 
     Stat &statAccesses_;
     Stat &statReadAccesses_;

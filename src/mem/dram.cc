@@ -1,6 +1,7 @@
 #include "mem/dram.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
@@ -9,6 +10,7 @@ namespace hsu
 
 Dram::Dram(DramParams params, StatGroup &stats)
     : params_(params), banks_(params.banks),
+      queuedBanks_((params.banks + 63) / 64),
       statAccesses_(stats.scalar("dram.accesses")),
       statActivations_(stats.scalar("dram.activations")),
       statRowHits_(stats.scalar("dram.row_hits"))
@@ -33,75 +35,81 @@ void
 Dram::enqueue(std::uint64_t line_addr, bool write, MemCompletion done,
               std::uint64_t now)
 {
-    Bank &bank = banks_[bankOf(line_addr)];
-    bank.queue.push_back(Request{line_addr, rowOf(line_addr), write,
-                                 std::move(done), now});
+    const unsigned b = bankOf(line_addr);
+    banks_[b].queue.push_back(Request{line_addr, rowOf(line_addr), write,
+                                      std::move(done), now});
+    queuedBanks_[b / 64] |= std::uint64_t{1} << (b % 64);
 }
 
 void
 Dram::tick(std::uint64_t now)
 {
     // Fire due completions.
-    while (!ready_.empty() && ready_.top().ready <= now) {
-        MemCompletion done =
-            std::move(const_cast<PendingDone &>(ready_.top()).done);
-        ready_.pop();
-        --inService_;
+    MemCompletion done;
+    while (inService_.popDue(now, done)) {
         if (done)
             done();
     }
 
     // Start a new service on every free bank using FR-FCFS: first
     // request hitting the open row wins, else the oldest request.
-    for (auto &bank : banks_) {
-        if (bank.readyAt > now || bank.queue.empty())
-            continue;
+    // Banks with queued requests are visited in ascending order.
+    for (std::size_t w = 0; w < queuedBanks_.size(); ++w) {
+        for (std::uint64_t bits = queuedBanks_[w]; bits != 0;
+             bits &= bits - 1) {
+            const unsigned b =
+                static_cast<unsigned>(w * 64 + std::countr_zero(bits));
+            Bank &bank = banks_[b];
+            if (bank.readyAt > now)
+                continue;
 
-        auto pick = bank.queue.end();
-        if (bank.rowValid) {
-            for (auto it = bank.queue.begin(); it != bank.queue.end();
-                 ++it) {
-                if (it->row == bank.openRow) {
-                    pick = it;
-                    break;
+            auto pick = bank.queue.end();
+            if (bank.rowValid) {
+                for (auto it = bank.queue.begin(); it != bank.queue.end();
+                     ++it) {
+                    if (it->row == bank.openRow) {
+                        pick = it;
+                        break;
+                    }
                 }
             }
-        }
-        const bool row_hit = pick != bank.queue.end();
-        if (!row_hit)
-            pick = bank.queue.begin();
+            const bool row_hit = pick != bank.queue.end();
+            if (!row_hit)
+                pick = bank.queue.begin();
 
-        ++statAccesses_;
-        unsigned latency;
-        if (row_hit) {
-            ++statRowHits_;
-            latency = params_.rowHitLatency;
-        } else {
-            ++statActivations_;
-            bank.openRow = pick->row;
-            bank.rowValid = true;
-            latency = params_.rowMissLatency;
-        }
+            ++statAccesses_;
+            unsigned latency;
+            if (row_hit) {
+                ++statRowHits_;
+                latency = params_.rowHitLatency;
+            } else {
+                ++statActivations_;
+                bank.openRow = pick->row;
+                bank.rowValid = true;
+                latency = params_.rowMissLatency;
+            }
 
-        // The bank is busy until the access completes (activation and
-        // column access do not overlap with the next request).
-        bank.readyAt =
-            now + std::max<std::uint64_t>(latency,
-                                          params_.bankCycleTime);
-        ready_.push(PendingDone{now + latency, seq_++,
-                                std::move(pick->done)});
-        ++inService_;
-        bank.queue.erase(pick);
+            // The bank is busy until the access completes (activation
+            // and column access do not overlap with the next request).
+            bank.readyAt =
+                now + std::max<std::uint64_t>(latency,
+                                              params_.bankCycleTime);
+            inService_.push(row_hit ? kRowHitStream : kRowMissStream,
+                            now + latency, pick->done);
+            bank.queue.erase(pick);
+            if (bank.queue.empty())
+                queuedBanks_[w] &= ~(std::uint64_t{1} << (b % 64));
+        }
     }
 }
 
 bool
 Dram::idle() const
 {
-    if (inService_ != 0)
+    if (!inService_.empty())
         return false;
-    for (const auto &bank : banks_) {
-        if (!bank.queue.empty())
+    for (const std::uint64_t bits : queuedBanks_) {
+        if (bits != 0)
             return false;
     }
     return true;
@@ -111,11 +119,14 @@ Cycle
 Dram::nextEventCycle(Cycle now) const
 {
     Cycle next = kNeverCycle;
-    if (!ready_.empty())
-        next = std::min(next, std::max(ready_.top().ready, now + 1));
-    for (const auto &bank : banks_) {
-        if (!bank.queue.empty())
-            next = std::min(next, std::max(bank.readyAt, now + 1));
+    if (!inService_.empty())
+        next = std::max(inService_.headReady(), now + 1);
+    for (std::size_t w = 0; w < queuedBanks_.size(); ++w) {
+        for (std::uint64_t bits = queuedBanks_[w]; bits != 0;
+             bits &= bits - 1) {
+            const std::size_t b = w * 64 + std::countr_zero(bits);
+            next = std::min(next, std::max(banks_[b].readyAt, now + 1));
+        }
     }
     return next;
 }

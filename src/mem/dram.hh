@@ -11,12 +11,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <queue>
 #include <vector>
 
 #include "common/cycletime.hh"
 #include "common/stats.hh"
-#include "mem/cache.hh" // MemCompletion
+#include "mem/cache.hh" // MemCompletion, CompletionStreams
 
 namespace hsu
 {
@@ -79,26 +78,19 @@ class Dram
         std::uint64_t readyAt = 0;
     };
 
-    struct PendingDone
-    {
-        std::uint64_t ready;
-        std::uint64_t seq;
-        MemCompletion done;
-        bool operator>(const PendingDone &o) const
-        {
-            return ready != o.ready ? ready > o.ready : seq > o.seq;
-        }
-    };
+    /** Completion streams: due rowHitLatency or rowMissLatency on. */
+    static constexpr unsigned kRowHitStream = 0;
+    static constexpr unsigned kRowMissStream = 1;
 
     unsigned bankOf(std::uint64_t line_addr) const;
     std::uint64_t rowOf(std::uint64_t line_addr) const;
 
     DramParams params_;
     std::vector<Bank> banks_;
-    std::priority_queue<PendingDone, std::vector<PendingDone>,
-                        std::greater<>> ready_;
-    std::uint64_t seq_ = 0;
-    std::size_t inService_ = 0;
+    /** Bit b of word w set: bank 64w + b has queued requests. */
+    std::vector<std::uint64_t> queuedBanks_;
+    /** In-service accesses (writes too), fired when their data is out. */
+    CompletionStreams inService_;
 
     Stat &statAccesses_;
     Stat &statActivations_;

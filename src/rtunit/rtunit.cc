@@ -248,33 +248,48 @@ RtUnit::tick(bool port_granted, std::uint64_t now)
     if (datapathBusyUntil_ > now)
         ++statBusyCycles_;
 
-    // 3. FIFO memory access queue: one L1 access per granted cycle.
-    if (port_granted && !fifo_.empty()) {
-        const FifoReq req = fifo_.front();
-        const std::uint64_t byte_addr =
-            req.line * l1_.params().lineBytes;
-        MemCompletion done;
-        if (req.entryIdx >= 0) {
-            Entry *entry = &entries_[static_cast<std::size_t>(
-                req.entryIdx)];
-            done = [entry]() {
-                if (--entry->pendingLines == 0 &&
-                    entry->state == EntryState::Gathering) {
-                    entry->state = EntryState::Ready;
-                }
-            };
-        } else {
-            const std::uint64_t line = req.line;
-            done = [this, line]() { lineArrived(line); };
-        }
-        const CacheOutcome outcome =
-            l1_.access(byte_addr, false, std::move(done), now);
-        if (outcome != CacheOutcome::RejectMshrFull &&
-            outcome != CacheOutcome::RejectQueueFull) {
-            fifo_.pop_front();
-        }
+    // 3. FIFO memory access queue: one L1 access per granted cycle. A
+    //    parked head would be refused again: count the reject only.
+    if (!port_granted || fifo_.empty())
+        return started;
+    if (fifoParked()) {
+        l1_.accountParkedRejects(1);
+        return started;
+    }
+    const FifoReq req = fifo_.front();
+    const std::uint64_t byte_addr = req.line * l1_.params().lineBytes;
+    MemCompletion done;
+    if (req.entryIdx >= 0) {
+        Entry *entry = &entries_[static_cast<std::size_t>(req.entryIdx)];
+        done = [entry]() {
+            if (--entry->pendingLines == 0 &&
+                entry->state == EntryState::Gathering) {
+                entry->state = EntryState::Ready;
+            }
+        };
+    } else {
+        const std::uint64_t line = req.line;
+        done = [this, line]() { lineArrived(line); };
+    }
+    const CacheOutcome outcome =
+        l1_.access(byte_addr, false, std::move(done), now);
+    if (outcome == CacheOutcome::RejectMshrFull ||
+        outcome == CacheOutcome::RejectQueueFull) {
+        fifoParkedGen_ = l1_.freeGeneration();
+    } else {
+        fifo_.pop_front();
+        fifoParkedGen_ = kNotParked;
     }
     return started;
+}
+
+void
+RtUnit::accountParkedGrants(double n)
+{
+    // Per-gap path: release builds skip the check.
+    hsu_debug_assert(!fifo_.empty() && fifoParkedGen_ != kNotParked,
+                     "parked grants counted for an unparked FIFO");
+    l1_.accountParkedRejects(n);
 }
 
 Cycle
@@ -305,10 +320,10 @@ RtUnit::lineArrived(std::uint64_t line)
 Cycle
 RtUnit::nextEventCycle(Cycle now) const
 {
-    // A queued node fetch retries for the L1 port every cycle, and the
-    // dispatch arbiter frees next cycle after an acceptance (a warp it
-    // rejected this cycle may dispatch then).
-    if (!fifo_.empty())
+    // An unparked node fetch retries for the L1 port every cycle, and
+    // the dispatch arbiter frees next cycle after an acceptance (a warp
+    // it rejected this cycle may dispatch then).
+    if (!fifo_.empty() && !fifoParked())
         return now + 1;
     if (lastDispatchCycle_ == now && dispatchedThisCycle_)
         return now + 1;

@@ -77,6 +77,23 @@ class RtUnit
     bool wantsAccess() const { return !fifo_.empty(); }
 
     /**
+     * True when the L1 refused the FIFO head and would refuse it again
+     * (its free generation has not moved). A parked head's granted
+     * cycles only count L1 rejects; see Cache::freeGeneration.
+     */
+    bool
+    fifoParked() const
+    {
+        return fifoParkedGen_ == l1_.freeGeneration();
+    }
+
+    /**
+     * Count @p n granted port cycles of a parked FIFO head, for cycles
+     * the SM skipped: exactly what @p n ticks would have counted.
+     */
+    void accountParkedGrants(double n);
+
+    /**
      * Advance one cycle. @p port_granted gives this unit the L1 port.
      * @return true when a warp-buffer entry started issuing (Ready ->
      *         Issuing): its slot now frees at a new end cycle, which
@@ -103,10 +120,11 @@ class RtUnit
     bool drained() const;
 
     /**
-     * Earliest future cycle at which tick() could act on its own:
-     * a writeback retiring, the datapath freeing (and possibly starting
+     * Earliest future cycle at which tick() could act on its own: an
+     * unparked FIFO head (every cycle), the arbiter freeing, a
+     * writeback retiring, the datapath freeing (and possibly starting
      * a Ready entry), or an Issuing slot recycling. Gathering entries
-     * wait on L1 completions, which are the L1's events, not ours.
+     * and a parked FIFO head wait on the L1, whose events they are.
      */
     Cycle nextEventCycle(Cycle now) const;
 
@@ -186,8 +204,12 @@ class RtUnit
 
     RtUnitParams params_;
     Cache &l1_;
+    static constexpr std::uint64_t kNotParked = ~std::uint64_t{0};
+
     std::vector<Entry> entries_;
     std::deque<FifoReq> fifo_;
+    /** The L1's free generation when it refused the FIFO head. */
+    std::uint64_t fifoParkedGen_ = kNotParked;
     std::priority_queue<Writeback, std::vector<Writeback>,
                         std::greater<>> writebacks_;
     /** In-flight node-fetch lines -> entries waiting on them. */

@@ -12,6 +12,7 @@ coalesceLines(const WarpTrace &trace, const TraceOp &op,
               unsigned line_bytes, std::vector<std::uint64_t> &lines)
 {
     lines.clear();
+    bool ascending = true;
     for (unsigned lane = 0; lane < kWarpSize; ++lane) {
         if (!(op.activeMask & (1u << lane)))
             continue;
@@ -19,11 +20,19 @@ coalesceLines(const WarpTrace &trace, const TraceOp &op,
         const std::uint64_t first = addr / line_bytes;
         const std::uint64_t last =
             (addr + op.bytesPerLane - 1) / line_bytes;
-        for (std::uint64_t l = first; l <= last; ++l)
+        for (std::uint64_t l = first; l <= last; ++l) {
+            if (!lines.empty()) {
+                if (l == lines.back())
+                    continue;
+                ascending = ascending && l > lines.back();
+            }
             lines.push_back(l);
+        }
     }
-    std::sort(lines.begin(), lines.end());
-    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
+    if (!ascending) {
+        std::sort(lines.begin(), lines.end());
+        lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
+    }
 }
 
 Lsu::Lsu(unsigned queue_capacity, Cache &l1, StatGroup &stats,
@@ -84,6 +93,11 @@ Lsu::tick(bool port_granted, std::uint64_t now)
         return false;
 
     ++statPortCycles_;
+    if (parked()) {
+        ++statRetries_;
+        l1_.accountParkedRejects(1);
+        return false;
+    }
     const LineReq &req = queue_.front();
     const std::uint32_t group = req.group;
     const std::uint64_t byte_addr = req.line * l1_.params().lineBytes;
@@ -92,12 +106,26 @@ Lsu::tick(bool port_granted, std::uint64_t now)
 
     if (outcome == CacheOutcome::RejectMshrFull ||
         outcome == CacheOutcome::RejectQueueFull) {
-        // Structural stall; the request stays at the head and retries.
+        // Structural stall; the request stays at the head, parked
+        // until the L1's free generation moves.
         ++statRetries_;
+        parkedGen_ = l1_.freeGeneration();
         return false;
     }
     queue_.pop_front();
+    parkedGen_ = kNotParked;
     return true;
+}
+
+void
+Lsu::accountParkedGrants(double n)
+{
+    // Per-gap path: release builds skip the check.
+    hsu_debug_assert(!queue_.empty() && parkedGen_ != kNotParked,
+                     "parked grants counted for an unparked LSU");
+    statPortCycles_ += n;
+    statRetries_ += n;
+    l1_.accountParkedRejects(n);
 }
 
 } // namespace hsu

@@ -35,7 +35,9 @@ namespace hsu
  * Coalesce a warp op's lane addresses into its unique line numbers,
  * ascending. Replaces the contents of @p lines and reuses its
  * capacity: the SM coalesces each memory op once, into a buffer its
- * warp keeps, and re-presents the result on every retry.
+ * warp keeps, and re-presents the result on every retry. Lanes mostly
+ * walk forward, so repeats of the last line are dropped as they come
+ * and the buffer is sorted only when a lane steps backward.
  */
 void coalesceLines(const WarpTrace &trace, const TraceOp &op,
                    unsigned line_bytes, std::vector<std::uint64_t> &lines);
@@ -70,7 +72,10 @@ class Lsu
     bool wantsAccess() const { return !queue_.empty(); }
 
     /**
-     * Present at most one request to the L1 if @p port_granted.
+     * Present at most one request to the L1 if @p port_granted. A head
+     * the L1 refused is parked: until the L1's free generation moves,
+     * each granted cycle counts as a refusal (port cycle, retry, L1
+     * reject) without asking the L1, which would refuse it again.
      * @return true when a request left the queue (the L1 accepted it),
      *         which may let a warp the queue refused issue
      */
@@ -79,16 +84,30 @@ class Lsu
     /** True when no request is queued (in-flight L1 side not counted). */
     bool drained() const { return queue_.empty(); }
 
+    /** True when the head was refused and the L1 would refuse it again. */
+    bool
+    parked() const
+    {
+        return parkedGen_ == l1_.freeGeneration();
+    }
+
     /**
-     * Earliest future cycle tick() could act on its own: the queue
-     * wants the port every cycle while non-empty; an empty LSU is
-     * driven entirely by new issues and L1 completions. Part of the
-     * SM's cached next-event value (event-horizon skipping).
+     * Count @p n granted port cycles of a parked head, for cycles the
+     * SM skipped: exactly what @p n ticks would have counted.
+     */
+    void accountParkedGrants(double n);
+
+    /**
+     * Earliest future cycle tick() could act on its own: an unparked
+     * head wants the port every cycle. An empty or parked LSU is
+     * driven by new issues and by the L1 (a fill or a pop un-parks
+     * it, and the L1's observer wakes the SM). Part of the SM's
+     * cached next-event value (event-horizon skipping).
      */
     Cycle
     nextEventCycle(Cycle now) const
     {
-        return queue_.empty() ? kNeverCycle : now + 1;
+        return queue_.empty() || parked() ? kNeverCycle : now + 1;
     }
 
     /**
@@ -116,9 +135,13 @@ class Lsu
     /** A line of @p group returned; the last one fires and frees it. */
     void lineDone(std::uint32_t group);
 
+    static constexpr std::uint64_t kNotParked = ~std::uint64_t{0};
+
     unsigned capacity_;
     Cache &l1_;
     std::deque<LineReq> queue_;
+    /** The L1's free generation when it refused the head. */
+    std::uint64_t parkedGen_ = kNotParked;
     std::vector<Group> groups_;
     std::vector<std::uint32_t> freeGroups_;
 

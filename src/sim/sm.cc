@@ -64,6 +64,8 @@ Sm::activatePending()
         w.order = nextOrder_++;
         w.active = true;
         ++activeCount_;
+        if (w.trace->ops.empty())
+            ++finishing_;
         // Slot s belongs to sub-core s % subCoresPerSm. Activation
         // order is age order, so appending keeps `live` oldest-first.
         subCores_[slot % subCores_.size()].live.push_back(slot);
@@ -74,6 +76,8 @@ Sm::activatePending()
 void
 Sm::retireFinished(std::uint64_t now)
 {
+    if (finishing_ == 0)
+        return; // only a warp that issued its last op can retire
     for (auto &sc : subCores_) {
         auto keep = sc.live.begin();
         for (const unsigned slot : sc.live) {
@@ -86,6 +90,7 @@ Sm::retireFinished(std::uint64_t now)
                 w.active = false;
                 w.trace = nullptr;
                 --activeCount_;
+                --finishing_;
                 ++statWarpsRetired_;
                 ++epoch_;
             } else {
@@ -265,6 +270,10 @@ Sm::issueSubCore(SubCore &sc, std::uint64_t now)
             if (offl)
                 ++statOffloadableCycles_;
             ++epoch_;
+            lastIssue_ = now;
+            const WarpCtx &w = warps_[slot];
+            if (w.pc == w.trace->ops.size())
+                ++finishing_;
             return;
         }
         if (r == TryResult::UnitBlocked &&
@@ -352,22 +361,28 @@ Sm::done() const
 Cycle
 Sm::nextEventCycle(Cycle now) const
 {
-    // Queued memory traffic contends for the L1 port every cycle.
-    if (lsu_->wantsAccess() || (rt_ && rt_->wantsAccess()))
+    // A sub-core that issued may issue again next cycle: a load or a
+    // store sets no busyUntil, and the LSU it went to may be parked.
+    if (lastIssue_ == now)
         return now + 1;
 
-    Cycle next = rt_ ? rt_->nextEventCycle(now) : kNeverCycle;
+    // An unparked LSU or RT FIFO head contends for the L1 port every
+    // cycle. A parked one waits for the L1's free generation to move,
+    // and the fill or pop that moves it wakes this SM through the
+    // completion observer; fastForwardStats counts its grants.
+    Cycle next = lsu_->nextEventCycle(now);
+    if (rt_)
+        next = std::min(next, rt_->nextEventCycle(now));
     for (const auto &sc : subCores_) {
         if (sc.busyUntil > now)
             next = std::min(next, sc.busyUntil);
-    }
-    for (const auto &sc : subCores_) {
+        // A warp's trailing block (its retirement) is only in the
+        // future while it is its sub-core's current block, so
+        // busyUntil already covers it.
         for (const unsigned slot : sc.live) {
-            // A finished warp retires when its trailing block
-            // completes.
-            const Cycle end = warps_[slot].blockEnd;
-            if (end > now)
-                next = std::min(next, end);
+            hsu_debug_assert(warps_[slot].blockEnd <= now ||
+                                 warps_[slot].blockEnd == sc.busyUntil,
+                             "warp block ends after its sub-core's");
         }
     }
     return next;
@@ -420,6 +435,22 @@ Sm::fastForwardStats(Cycle now, Cycle next)
 
     if (rt_)
         rt_->fastForwardStats(now, next);
+
+    // A queue with requests in a gap is parked (an unparked head is an
+    // event next cycle). The L1 port arbiter grants the RT FIFO on even
+    // cycles when both want it, else whoever wants it; each grant would
+    // have counted one refusal.
+    const bool lsu_wants = lsu_->wantsAccess();
+    const bool rt_wants = rt_ && rt_->wantsAccess();
+    const std::uint64_t rt_grants =
+        !rt_wants ? 0
+        : lsu_wants ? cyclesWithResidue(now + 1, next - 1, 2, 0)
+                    : gap_cycles;
+    if (rt_grants != 0)
+        rt_->accountParkedGrants(static_cast<double>(rt_grants));
+    if (lsu_wants && rt_grants != gap_cycles)
+        lsu_->accountParkedGrants(
+            static_cast<double>(gap_cycles - rt_grants));
 
     for (auto &sc : subCores_) {
         statSlotCycles_ += gap;

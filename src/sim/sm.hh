@@ -52,11 +52,13 @@ class Sm
 
     /**
      * Earliest future cycle at which ticking this SM could do anything,
-     * assuming no memory completion arrives earlier: pending LSU / RT
-     * memory-queue traffic (every cycle), a sub-core instruction block
-     * expiring, a warp's trailing block finishing (retirement), or an
-     * RT-unit internal event. Warps blocked on tokens are woken by
-     * completions, which are events of the memory system / RT unit.
+     * assuming no memory completion arrives earlier: an issue this
+     * cycle or an unparked LSU / RT memory-queue head (next cycle), a
+     * sub-core instruction block expiring (which also ends the last
+     * block of a finished warp, its retirement), or an RT-unit internal
+     * event. Warps blocked on tokens are woken by completions, and
+     * parked queue heads by fills and pops, which are events of the
+     * memory system and wake the SM through its L1's observer.
      */
     Cycle nextEventCycle(Cycle now) const;
 
@@ -83,7 +85,8 @@ class Sm
      * Account per-cycle occupancy stats for the eventless gap
      * (now, next) exactly as the per-cycle loop would have: busy
      * sub-cores stay busy for the whole gap, stalled sub-cores stay
-     * stalled with unchanged candidates, empty sub-cores stay idle.
+     * stalled with unchanged candidates, empty sub-cores stay idle,
+     * and parked LSU / RT FIFO heads are refused on every port grant.
      */
     void fastForwardStats(Cycle now, Cycle next);
 
@@ -181,6 +184,9 @@ class Sm
      * current.
      */
     std::uint64_t epoch_ = 0;
+    /** Live warps that have issued their last op (retirement candidates). */
+    unsigned finishing_ = 0;
+    Cycle lastIssue_ = kNeverCycle; //!< last cycle any sub-core issued
     bool wakePending_ = false;
     bool anyCleared_ = false;  //!< some warp has clearedSinceTick bits
     unsigned denseStreak_ = 0; //!< consecutive "event next cycle" probes

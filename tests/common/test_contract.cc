@@ -136,7 +136,7 @@ forceLinkage()
     (void)rng.next();
     (void)quickScale();                          // runner.cc
     StatGroup stats;
-    Cache l1(CacheParams{}, stats);              // cache.cc
+    Cache l1(CacheParams{}, stats);
     RtUnit rtu(RtUnitParams{}, l1, stats);       // rtunit.cc
     const PointSet pts = test::randomCloud(64, 4, 7);
     const HnswGraph g = HnswGraph::build(pts, Metric::Euclidean);
@@ -154,7 +154,6 @@ TEST(AuditRegistry, KnownSourcesAreRegistered)
     const char *expected[] = {
         "rng.cc:Rng",
         "rng.cc:deriveSeed",
-        "cache.cc:mshr_",
         "rtunit.cc:pendingLines_",
         "ggnn.cc:visited",
         "runner.cc:runJobsParallel",
