@@ -1,7 +1,7 @@
 /**
  * @file
  * FR-FCFS DRAM model tests: row-hit prioritization, bank mapping,
- * locality accounting, and drain behaviour.
+ * locality accounting, completion order, and drain behaviour.
  */
 
 #include <gtest/gtest.h>
@@ -128,6 +128,78 @@ TEST(Dram, NonPowerOfTwoBanksPanics)
     DramParams p = smallParams();
     p.banks = 3;
     EXPECT_DEATH(Dram(p, stats), "power of two");
+}
+
+// Completions fire in (ready, seq) order although row hits and row
+// misses wait in separate FIFO streams: a row hit started after a row
+// miss, but due before it, fires first; equal ready cycles fire in the
+// order the services started.
+TEST(Dram, CompletionsFireInReadySeqOrder)
+{
+    StatGroup stats;
+    Dram dram(smallParams(), stats); // row hit 5, row miss 20
+    std::vector<std::pair<int, std::uint64_t>> fired; // (id, cycle)
+    std::uint64_t now = 0;
+    const auto enqueue = [&](std::uint64_t line, int id) {
+        dram.enqueue(line, false, [&fired, &now, id] {
+            fired.emplace_back(id, now);
+        }, now);
+    };
+    // bank = line % 4, row = line / 16: lines 0 and 4 share bank 0's
+    // row 0.
+    for (now = 0; now < 60; ++now) {
+        if (now == 0) {
+            enqueue(0, 0); // bank 0, miss: due 20
+            enqueue(1, 1); // bank 1, miss: due 20, started after bank 0
+        }
+        if (now == 5)
+            enqueue(2, 2); // bank 2, miss: due 25
+        if (now == 19)
+            enqueue(3, 3); // bank 3, miss: due 39
+        if (now == 20)
+            enqueue(4, 4); // bank 0, row hit: due 25, after id 2's
+        dram.tick(now);
+    }
+    const std::vector<std::pair<int, std::uint64_t>> expected = {
+        {0, 20}, {1, 20}, {2, 25}, {4, 25}, {3, 39}};
+    EXPECT_EQ(fired, expected);
+    EXPECT_EQ(stats.get("dram.row_hits"), 1.0);
+    EXPECT_TRUE(dram.idle());
+}
+
+TEST(Dram, NextEventCoversQueuedBanksAndCompletions)
+{
+    StatGroup stats;
+    Dram dram(smallParams(), stats);
+    EXPECT_EQ(dram.nextEventCycle(0), kNeverCycle);
+    dram.enqueue(0, false, MemCompletion{}, 0);
+    dram.enqueue(4, true, MemCompletion{}, 0); // same bank, queued behind
+    EXPECT_EQ(dram.nextEventCycle(0), 1u); // a free bank with work
+    dram.tick(1); // line 0 starts: bank 0 busy until 21
+    EXPECT_FALSE(dram.idle());
+    EXPECT_EQ(dram.nextEventCycle(1), 21u);
+    dram.tick(21); // line 0 done; line 4 (row hit) starts, due 26
+    EXPECT_EQ(dram.nextEventCycle(21), 26u);
+    dram.tick(26);
+    EXPECT_TRUE(dram.idle());
+    EXPECT_EQ(dram.nextEventCycle(26), kNeverCycle);
+}
+
+TEST(Dram, ManyBanksVisitedInAscendingOrder)
+{
+    // More banks than one 64-bit word of the queued-bank mask holds.
+    StatGroup stats;
+    DramParams p = smallParams();
+    p.banks = 128;
+    Dram dram(p, stats);
+    std::vector<int> fired;
+    for (const int bank : {127, 3, 64, 0, 65, 63})
+        dram.enqueue(static_cast<std::uint64_t>(bank), false,
+                     [&fired, bank] { fired.push_back(bank); }, 0);
+    std::uint64_t now = 0;
+    runUntilIdle(dram, now);
+    // All start at cycle 0 and are due together: bank order.
+    EXPECT_EQ(fired, (std::vector<int>{0, 3, 63, 64, 65, 127}));
 }
 
 } // namespace

@@ -1,11 +1,13 @@
 /**
  * @file
- * LSU tests: intra-warp coalescing and group completion semantics.
+ * LSU tests: intra-warp coalescing, group completion semantics, and
+ * parked heads counting exactly what probing every cycle would.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -269,6 +271,148 @@ TEST_F(LsuFixture, WritesFireAndForget)
     for (int i = 0; i < 50 && done == 0; ++i)
         tickAll();
     EXPECT_EQ(done, 1);
+}
+
+// A parked head skips the L1 until a fill or a pop could change its
+// answer, but counts every granted cycle as the refusal the L1 would
+// have given. Drive one LSU and a reference requester that asks the L1
+// on every granted cycle (the unparked behaviour) through the same
+// script: a downstream that refuses for a window, fills a fixed delay
+// after each send, and a port granted only on some cycles. Tiny MSHR,
+// merge and miss-queue limits reach every refusal kind.
+TEST(LsuParking, CountsMatchProbingEveryCycle)
+{
+    const CacheParams cp{.name = "l1", .sizeBytes = 8192, .assoc = 4,
+                         .lineBytes = 128, .hitLatency = 3,
+                         .mshrEntries = 2, .mshrMergesPerEntry = 1,
+                         .missQueueCapacity = 1};
+    // Lines with repeats (merges) and a store in the middle.
+    const std::vector<std::uint64_t> loads = {1, 2, 2, 3, 1, 4, 5, 5, 6,
+                                              7, 7, 8, 2, 9, 10, 11};
+
+    struct Side
+    {
+        StatGroup stats;
+        Cache l1;
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> fills;
+        explicit Side(const CacheParams &p) : l1(p, stats) {}
+
+        void
+        wire(std::uint64_t &now)
+        {
+            l1.setSendLower([this, &now](std::uint64_t line, bool write,
+                                         std::uint64_t) {
+                // Refusal window: nothing leaves the L1 in [20, 60).
+                if (now >= 20 && now < 60)
+                    return false;
+                if (!write)
+                    fills.emplace_back(now + 25, line);
+                return true;
+            });
+        }
+
+        void
+        memTick(std::uint64_t now)
+        {
+            for (auto it = fills.begin(); it != fills.end();) {
+                if (it->first <= now) {
+                    l1.fill(it->second, now);
+                    it = fills.erase(it);
+                } else {
+                    ++it;
+                }
+            }
+            l1.tick(now);
+        }
+    };
+    const auto granted = [](std::uint64_t now) {
+        return now % 3 != 0; // the RT unit's share of the port
+    };
+
+    std::uint64_t now = 0;
+    Side parked(cp);
+    parked.wire(now);
+    Lsu lsu(64, parked.l1, parked.stats, "lsu");
+    std::vector<std::uint64_t> group;
+    for (std::size_t i = 0; i < loads.size(); ++i) {
+        group.assign(1, loads[i]);
+        ASSERT_TRUE(lsu.issue(group, i == 6, nullptr));
+    }
+    unsigned parked_cycles = 0;
+    for (now = 0; now < 400; ++now) {
+        parked.memTick(now);
+        if (lsu.wantsAccess() && lsu.parked() && granted(now))
+            ++parked_cycles;
+        lsu.tick(granted(now), now);
+    }
+    EXPECT_TRUE(lsu.drained());
+    EXPECT_GT(parked_cycles, 50u) << "the script never parked the head";
+
+    Side probing(cp);
+    probing.wire(now);
+    std::deque<std::pair<std::uint64_t, bool>> queue;
+    for (std::size_t i = 0; i < loads.size(); ++i)
+        queue.emplace_back(loads[i], i == 6);
+    double port_cycles = 0;
+    double retries = 0;
+    for (now = 0; now < 400; ++now) {
+        probing.memTick(now);
+        if (!granted(now) || queue.empty())
+            continue;
+        ++port_cycles;
+        const CacheOutcome out = probing.l1.access(
+            queue.front().first * cp.lineBytes, queue.front().second,
+            nullptr, now);
+        if (out == CacheOutcome::RejectMshrFull ||
+            out == CacheOutcome::RejectQueueFull) {
+            ++retries;
+        } else {
+            queue.pop_front();
+        }
+    }
+    EXPECT_TRUE(queue.empty());
+
+    EXPECT_EQ(parked.stats.get("lsu.retries"), retries);
+    EXPECT_EQ(parked.stats.get("lsu.port_cycles"), port_cycles);
+    EXPECT_EQ(parked.stats.get("l1.rejects"), probing.stats.get("l1.rejects"));
+    EXPECT_EQ(parked.stats.get("l1.rejects"), retries);
+    EXPECT_EQ(parked.stats.get("l1.accesses"),
+              probing.stats.get("l1.accesses"));
+    EXPECT_GT(retries, 50.0);
+}
+
+TEST(LsuParking, ParkedHeadIsNoEventUntilTheGenerationMoves)
+{
+    StatGroup stats;
+    const CacheParams cp{.name = "l1", .sizeBytes = 8192, .assoc = 4,
+                         .lineBytes = 128, .hitLatency = 3,
+                         .mshrEntries = 1, .mshrMergesPerEntry = 1,
+                         .missQueueCapacity = 4};
+    Cache l1(cp, stats);
+    l1.setSendLower([](std::uint64_t, bool, std::uint64_t) { return true; });
+    Lsu lsu(8, l1, stats, "lsu");
+    ASSERT_TRUE(lsu.issue({1, 2}, false, nullptr));
+    EXPECT_EQ(lsu.nextEventCycle(0), 1u);
+    EXPECT_TRUE(lsu.tick(true, 0)); // line 1 takes the only MSHR
+    EXPECT_FALSE(lsu.tick(true, 1)); // line 2 refused: parked
+    EXPECT_TRUE(lsu.parked());
+    EXPECT_EQ(lsu.nextEventCycle(1), kNeverCycle);
+    EXPECT_FALSE(lsu.tick(true, 2));
+    EXPECT_EQ(stats.get("l1.rejects"), 2.0);
+    lsu.accountParkedGrants(5); // five skipped grants
+    EXPECT_EQ(stats.get("l1.rejects"), 7.0);
+    EXPECT_EQ(stats.get("lsu.retries"), 7.0);
+    EXPECT_EQ(stats.get("lsu.port_cycles"), 8.0);
+    l1.tick(3); // pops line 1's miss: the generation moves
+    EXPECT_FALSE(lsu.parked());
+    EXPECT_EQ(lsu.nextEventCycle(3), 4u);
+    EXPECT_FALSE(lsu.tick(true, 4)); // asks, and is refused again
+    EXPECT_TRUE(lsu.parked());
+    l1.fill(1, 5);
+    EXPECT_FALSE(lsu.parked());
+    EXPECT_TRUE(lsu.tick(true, 5));
+    EXPECT_TRUE(lsu.drained());
+    EXPECT_EQ(lsu.nextEventCycle(5), kNeverCycle);
 }
 
 } // namespace
