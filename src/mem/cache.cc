@@ -69,7 +69,8 @@ Cache::Cache(CacheParams params, StatGroup &stats)
     const std::uint64_t lines = params_.sizeBytes / params_.lineBytes;
     hsu_assert(lines >= params_.assoc, "cache smaller than one set");
     numSets_ = static_cast<unsigned>(lines / params_.assoc);
-    sets_.assign(numSets_, std::vector<Way>(params_.assoc));
+    tags_.assign(std::size_t{numSets_} * params_.assoc, kNoTag);
+    lastUse_.assign(tags_.size(), 0);
     mshrWaiters_.resize(std::size_t{params_.mshrEntries} *
                         params_.mshrMergesPerEntry);
     mshrWaiterCount_.assign(params_.mshrEntries, 0);
@@ -78,45 +79,47 @@ Cache::Cache(CacheParams params, StatGroup &stats)
         mshrFree_.push_back(slot);
 }
 
+std::size_t
+Cache::findWay(std::size_t set, std::uint64_t tag) const
+{
+    for (std::size_t w = set; w < set + params_.assoc; ++w) {
+        if (tags_[w] == tag)
+            return w;
+    }
+    return kNoWay;
+}
+
 bool
 Cache::lookup(std::uint64_t line_addr, std::uint64_t now)
 {
-    auto &set = sets_[line_addr % numSets_];
-    const std::uint64_t tag = line_addr / numSets_;
-    for (auto &way : set) {
-        if (way.valid && way.tag == tag) {
-            way.lastUse = now;
-            return true;
-        }
-    }
-    return false;
+    const std::size_t w = findWay(setOf(line_addr), tagOf(line_addr));
+    if (w == kNoWay)
+        return false;
+    lastUse_[w] = now;
+    return true;
 }
 
 void
 Cache::install(std::uint64_t line_addr, std::uint64_t now)
 {
-    auto &set = sets_[line_addr % numSets_];
-    const std::uint64_t tag = line_addr / numSets_;
+    const std::size_t set = setOf(line_addr);
+    const std::uint64_t tag = tagOf(line_addr);
     // Already present (e.g. two MSHR-free fills of the same line)?
-    for (auto &way : set) {
-        if (way.valid && way.tag == tag) {
-            way.lastUse = now;
-            return;
+    std::size_t victim = findWay(set, tag);
+    if (victim == kNoWay) {
+        // Prefer the first empty way, else evict the first LRU way.
+        victim = set;
+        for (std::size_t w = set; w < set + params_.assoc; ++w) {
+            if (tags_[w] == kNoTag) {
+                victim = w;
+                break;
+            }
+            if (lastUse_[w] < lastUse_[victim])
+                victim = w;
         }
+        tags_[victim] = tag;
     }
-    // Prefer an invalid way, else evict LRU.
-    Way *victim = &set[0];
-    for (auto &way : set) {
-        if (!way.valid) {
-            victim = &way;
-            break;
-        }
-        if (way.lastUse < victim->lastUse)
-            victim = &way;
-    }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lastUse = now;
+    lastUse_[victim] = now;
 }
 
 CacheOutcome

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/cycletime.hh"
+#include "common/fifo.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 
@@ -94,7 +95,7 @@ class CompletionStreams
     void
     push(unsigned stream, std::uint64_t ready, MemCompletion done)
     {
-        std::deque<Pending> &q = streams_[stream];
+        Fifo<Pending> &q = streams_[stream];
         // Per-access path: release builds skip the check.
         hsu_debug_assert(q.empty() || q.back().ready <= ready,
                          "completion stream pushed out of ready order");
@@ -152,7 +153,7 @@ class CompletionStreams
         return a_first ? 0 : 1;
     }
 
-    std::deque<Pending> streams_[2];
+    Fifo<Pending> streams_[2];
     std::uint64_t seq_ = 0;
 };
 
@@ -323,23 +324,34 @@ class Cache
     }
 
   private:
-    struct Way
-    {
-        bool valid = false;
-        std::uint64_t tag = 0;
-        std::uint64_t lastUse = 0;
-    };
-
     /** Completion streams: due hitLatency after the access, or at a fill. */
     static constexpr unsigned kHitStream = 0;
     static constexpr unsigned kFillStream = 1;
 
+    static constexpr std::size_t kNoWay = ~std::size_t{0};
+    static constexpr std::uint64_t kNoTag = ~std::uint64_t{0};
+
+    /** Index of the first way of @p line_addr's set. */
+    std::size_t
+    setOf(std::uint64_t line_addr) const
+    {
+        return std::size_t{line_addr % numSets_} * params_.assoc;
+    }
+
+    std::uint64_t tagOf(std::uint64_t line_addr) const
+    { return line_addr / numSets_; }
+
+    /** The way of @p set holding @p tag, or kNoWay. */
+    std::size_t findWay(std::size_t set, std::uint64_t tag) const;
     bool lookup(std::uint64_t line_addr, std::uint64_t now);
     void install(std::uint64_t line_addr, std::uint64_t now);
 
     CacheParams params_;
     unsigned numSets_;
-    std::vector<std::vector<Way>> sets_;
+    // Way w of set s is entry s * assoc + w: a set's tags are
+    // contiguous, so a lookup reads them without touching lastUse_.
+    std::vector<std::uint64_t> tags_;    //!< kNoTag marks an empty way
+    std::vector<std::uint64_t> lastUse_; //!< LRU stamp per way
 
     // The MSHR file: mshrEntries slots, each with room for
     // mshrMergesPerEntry waiters in mshrWaiters_ (slot-major), found
