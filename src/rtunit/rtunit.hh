@@ -77,17 +77,6 @@ class RtUnit
     bool wantsAccess() const { return !fifo_.empty(); }
 
     /**
-     * True when the L1 refused the FIFO head and would refuse it again
-     * (its free generation has not moved). A parked head's granted
-     * cycles only count L1 rejects; see Cache::freeGeneration.
-     */
-    bool
-    fifoParked() const
-    {
-        return fifoParkedGen_ == l1_.freeGeneration();
-    }
-
-    /**
      * Count @p n granted port cycles of a parked FIFO head, for cycles
      * the SM skipped: exactly what @p n ticks would have counted.
      */
@@ -196,16 +185,27 @@ class RtUnit
         std::int32_t entryIdx = -1;
     };
 
+    /**
+     * True when the L1 refused the FIFO head and would refuse it again
+     * (its free generation has not moved). A parked head's granted
+     * cycles only count L1 rejects; see Cache::freeGeneration.
+     */
+    bool
+    fifoParked() const
+    {
+        return fifoParkedGen_ == l1_.freeGeneration();
+    }
+
     unsigned freeEntries(std::uint64_t now) const;
     int findFreeEntry(std::uint64_t now);
     int selectReadyEntry() const;
     void startIssue(std::size_t idx, std::uint64_t now);
     void lineArrived(std::uint64_t line);
 
-    RtUnitParams params_;
-    Cache &l1_;
     static constexpr std::uint64_t kNotParked = ~std::uint64_t{0};
 
+    RtUnitParams params_;
+    Cache &l1_;
     std::vector<Entry> entries_;
     std::deque<FifoReq> fifo_;
     /** The L1's free generation when it refused the FIFO head. */
