@@ -46,8 +46,6 @@ Sm::addWarp(const WarpTrace *trace)
 void
 Sm::activatePending()
 {
-    if (pending_.empty())
-        return;
     for (unsigned slot = 0; slot < warps_.size() && !pending_.empty();
          ++slot) {
         WarpCtx &w = warps_[slot];
@@ -76,8 +74,6 @@ Sm::activatePending()
 void
 Sm::retireFinished(std::uint64_t now)
 {
-    if (finishing_ == 0)
-        return; // only a warp that issued its last op can retire
     for (auto &sc : subCores_) {
         auto keep = sc.live.begin();
         for (const unsigned slot : sc.live) {
@@ -339,8 +335,11 @@ Sm::tick(std::uint64_t now)
     if (lsu_->tick(grant_lsu, now))
         ++epoch_;
 
-    retireFinished(now);
-    activatePending();
+    // Only a warp that has issued its last op can retire.
+    if (finishing_ != 0)
+        retireFinished(now);
+    if (!pending_.empty())
+        activatePending();
 
     for (auto &sc : subCores_)
         issueSubCore(sc, now);
