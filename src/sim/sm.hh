@@ -9,10 +9,12 @@
  * dependencies run through a 32-bit token scoreboard per warp.
  *
  * Host-side, each sub-core walks only its live warps, a memory op is
- * coalesced once however often the LSU refuses it, and a stalled
- * sub-core replays its last stall's counts until something that could
- * unblock a candidate happens (DESIGN.md "Simulation execution"). None
- * of this changes a simulated cycle or stat.
+ * coalesced once however often the LSU refuses it, a stalled sub-core
+ * replays its last stall's counts until something that could unblock a
+ * candidate happens, and an LSU or RT FIFO head the L1 refused waits,
+ * parked, until a fill or a pop could change the answer (DESIGN.md
+ * "Simulation execution"). None of this changes a simulated cycle or
+ * stat.
  */
 
 #ifndef HSU_SIM_SM_HH
