@@ -14,7 +14,7 @@
  * event-loop thread that owns the simulated clock (worker-pool batch
  * simulations never record), so the log order is a pure function of
  * the request stream and the config — bit-identical across runs and
- * any HSU_JOBS / HSU_SIM_JOBS setting.
+ * any HSU_JOBS setting.
  *
  * Cost discipline: producers hold a ScheduleRecorder by value; with no
  * log attached (the default everywhere) record() is a null check and

@@ -76,13 +76,10 @@ MemorySystem::l2Access(const DownPacket &pkt, std::uint64_t now)
 void
 MemorySystem::tick(std::uint64_t now)
 {
-    // Canonical commit point for the parallel horizon loop: the SMs
-    // tick concurrently but only stage traffic into their private L1
-    // miss queues; those queues are drained here (the l1s_ loop below,
-    // SM-index order) on the caller's thread, so the shared L2 /
-    // channels / DRAM observe exactly the serial arrival order no
-    // matter how the SM phase was scheduled. Time must not run
-    // backwards between commits.
+    // The one point where SM traffic reaches shared state: the SMs only
+    // stage requests in their private L1 miss queues, drained here (the
+    // l1s_ loop below) in SM-index order. Time must not run backwards
+    // between ticks.
     hsu_contract(now >= now_, "memory system ticked backwards: ", now,
                  " after ", now_);
     now_ = now;

@@ -42,12 +42,10 @@ struct MemSysParams
  * Owns and wires every level. SMs talk to their L1 via l1(i); everything
  * below is internal. Call tick() once per cycle.
  *
- * Thread model: an SM may call l1(i).access() concurrently with other
- * SMs (each L1 is touched by exactly one SM), but everything shared —
- * channels, L2, DRAM — moves only inside tick(), which runs on one
- * thread and drains the staged L1 miss queues in SM-index order. That
- * fixed commit order is what makes the parallel SM phase bit-identical
- * to the serial loop.
+ * Each L1 is touched by exactly one SM, and everything shared —
+ * channels, L2, DRAM — moves only inside tick(), which drains the L1
+ * miss queues in SM-index order. The arrival order below the L1s is
+ * therefore independent of which SMs the cycle loop ticked.
  */
 class MemorySystem
 {

@@ -33,7 +33,7 @@
  * Determinism: arrivals are processed in stream order, scatter
  * messages in send order, lanes in index order; batch simulations fan
  * out over an hsu::ThreadPool but are pure functions resolved in lane
- * order. Reports are bit-identical for any HSU_JOBS / HSU_SIM_JOBS
+ * order. Reports are bit-identical for any HSU_JOBS
  * (tests/shard/test_cluster.cc pins this), and a 1x1 cluster with a
  * zero-cost link reproduces serve::Server exactly.
  */
@@ -218,7 +218,7 @@ class ClusterServer
     /**
      * Replay @p requests (nondecreasing arrival order) to completion.
      * Deterministic: depends only on the stream and the config, never
-     * on HSU_JOBS / HSU_SIM_JOBS.
+     * on HSU_JOBS.
      */
     ClusterReport run(const std::vector<serve::Request> &requests);
 

@@ -56,37 +56,9 @@ struct GpuConfig
 
     // --- Simulation execution (host-side; no timing effect) --------
     /**
-     * Intra-simulation worker threads for the event-horizon run loop
-     * (see DESIGN.md "Deterministic intra-simulation parallelism").
-     * 0 reads HSU_SIM_JOBS once per process (default 1). 1 is the
-     * exact reference serial loop; > 1 selects the horizon loop, whose
-     * results are bit-identical by construction. The effective thread
-     * count is additionally clamped to numSms and the hardware
-     * concurrency, which cannot change results (SM phases are
-     * independent and statistics are staged per SM).
-     */
-    unsigned simJobs = 0;
-    /**
-     * Serial-loop probe backoff: after probeDenseStreak consecutive
-     * "event next cycle" answers, single-step probeInterval cycles
-     * between nextEventCycle() probes. The same constants bound how
-     * often a dense SM re-scans for its next event in the horizon
-     * loop. Exposed so the per-SM event cache can be A/B'd against
-     * the probe scan — values only trade host time, never results.
-     */
-    unsigned probeDenseStreak = 32;
-    unsigned probeInterval = 32;
-    /**
-     * Cache per-SM next-event cycles across skipped cycles (horizon
-     * loop only). false falls back to ticking every SM every cycle —
-     * the A/B baseline for measuring what the event cache buys.
-     * Results are bit-identical either way.
-     */
-    bool eventCache = true;
-    /**
      * Idle-cycle skipping override: -1 reads HSU_NO_SKIP once per
-     * process, 0 forces skipping on, 1 forces the single-stepped
-     * debug loop (which also pins simJobs to the serial path).
+     * process, 0 forces skipping on, 1 forces the stepped loop, which
+     * ticks every SM every cycle and checks every skip prediction.
      */
     int noSkip = -1;
 

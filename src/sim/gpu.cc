@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
-#include "common/audit.hh"
 #include "common/logging.hh"
 #include "common/phase_timer.hh"
 
@@ -15,19 +13,12 @@ namespace hsu
 namespace
 {
 
-[[maybe_unused]] HSU_AUDIT_NONDET_SOURCE(
-    kSmMergeAudit, audit::NondetKind::FloatAccumulation,
-    "gpu.cc:mergeSmStats",
-    "per-SM stat partial sums merged in SM-index order; every simulator "
-    "stat increment is an exact small integer (< 2^53), so accumulation "
-    "order cannot change the totals");
-
 /**
- * Environment defaults are latched on first use: a Gpu is constructed
+ * The environment default is latched on first use: a Gpu is constructed
  * per kernel run and a bench fleet runs thousands of them, so per-run
  * getenv() calls are both measurable and a determinism hazard (a
  * mid-run setenv would flip behavior between simulations). Tests that
- * need a non-default value use the GpuConfig overrides instead.
+ * need a non-default value use the GpuConfig override instead.
  */
 bool
 processNoSkipDefault()
@@ -36,24 +27,6 @@ processNoSkipDefault()
         // audit[env-read]: read once per process (see file comment)
         const char *e = std::getenv("HSU_NO_SKIP");
         return e != nullptr && e[0] != '\0' && e[0] != '0';
-    }();
-    return v;
-}
-
-unsigned
-processSimJobsDefault()
-{
-    static const unsigned v = [] {
-        // audit[env-read]: read once per process (see file comment)
-        if (const char *env = std::getenv("HSU_SIM_JOBS")) {
-            char *end = nullptr;
-            const long n = std::strtol(env, &end, 10);
-            if (end != env && *end == '\0' && n > 0)
-                return static_cast<unsigned>(n);
-            // Malformed values fall back to the serial loop rather
-            // than silently picking a thread count.
-        }
-        return 1u;
     }();
     return v;
 }
@@ -68,15 +41,8 @@ Gpu::Gpu(const GpuConfig &cfg, StatGroup &stats)
     cfg_.finalize();
     cfg_.validate();
     mem_ = std::make_unique<MemorySystem>(cfg_.mem, stats_);
-    for (unsigned i = 0; i < cfg_.numSms; ++i) {
-        // Per-SM staging group: SMs share stat *names* ("sm.*",
-        // "lsu.*", "rtu.*"), and a shared accumulator would be the one
-        // data race of the parallel SM phase. L1 stats stay in the
-        // caller's group — their names are per-SM already.
-        smStats_.push_back(std::make_unique<StatGroup>());
-        sms_.push_back(std::make_unique<Sm>(cfg_, i, mem_->l1(i),
-                                            *smStats_.back()));
-    }
+    for (unsigned i = 0; i < cfg_.numSms; ++i)
+        sms_.push_back(std::make_unique<Sm>(cfg_, i, mem_->l1(i), stats_));
 }
 
 bool
@@ -89,110 +55,15 @@ Gpu::allDone() const
     return mem_->idle();
 }
 
-Cycle
-Gpu::nextEventCycle(Cycle now) const
-{
-    Cycle next = mem_->nextEventCycle(now);
-    for (const auto &sm : sms_)
-        next = std::min(next, sm->nextEventCycle(now));
-    return next;
-}
-
-void
-Gpu::mergeSmStats()
-{
-    if (smStatsMerged_)
-        return;
-    smStatsMerged_ = true;
-    for (const auto &group : smStats_) {
-        for (const auto &[name, value] : group->dump())
-            stats_.scalar(name) += value;
-    }
-}
-
 void
 Gpu::panicWedged(const char *why, std::uint64_t now)
 {
     // Dump forensic state before dying: a wedged simulation is always
     // a simulator bug.
-    mergeSmStats();
     for (const auto &[name, value] : stats_.dump())
         // audit[stray-stdio]: forensic dump on the panic path
         std::fprintf(stderr, "  %s = %.0f\n", name.c_str(), value);
     hsu_panic(why, " at cycle ", now);
-}
-
-void
-Gpu::runSerial(std::uint64_t &now, std::uint64_t max_cycles, bool skip)
-{
-    // Adaptive probe backoff: when every probe answers "event next
-    // cycle" the machine is saturated and nextEventCycle() is pure
-    // overhead, so after probeDenseStreak consecutive no-gap answers we
-    // single-step probeInterval cycles between probes. A gap opening
-    // mid-window is entered at most probeInterval cycles late — small
-    // against the DRAM latencies that create gaps — and single-
-    // stepping is always exact, so results are unaffected.
-    unsigned dense_streak = 0;
-    unsigned probe_wait = 0;
-    // In no-skip mode, the predicted end of the current eventless gap;
-    // every cycle strictly inside it must confirm the prediction.
-    Cycle predicted_event = 0;
-
-    for (;;) {
-        if (now >= max_cycles)
-            panicWedged("simulation exceeded cycle bound", now);
-        mem_->tick(now);
-        for (auto &sm : sms_)
-            sm->tick(now);
-
-        // Exact completion: no check-period slack inflating the count.
-        if (allDone())
-            break;
-
-        if (skip && probe_wait > 0) {
-            --probe_wait;
-            ++now;
-            continue;
-        }
-
-        const Cycle next = nextEventCycle(now);
-        if (next == kNeverCycle)
-            panicWedged("no future event but simulation not done", now);
-        // Main simulation loop: release builds skip the check.
-        hsu_debug_assert(next > now,
-                         "next event cycle must be in the future");
-
-        if (skip) {
-            if (next > now + 1) {
-                // The gap (now, next) is provably eventless: account
-                // the per-cycle occupancy stats the skipped ticks would
-                // have recorded, then jump.
-                for (auto &sm : sms_)
-                    sm->fastForwardStats(now, next);
-                statFfCycles_ +=
-                    static_cast<double>(next - now - 1);
-                dense_streak = 0;
-            } else if (cfg_.probeDenseStreak != 0 &&
-                       ++dense_streak >= cfg_.probeDenseStreak) {
-                probe_wait = cfg_.probeInterval;
-                dense_streak = 0;
-            }
-            now = next;
-        } else {
-            // Debug mode: single-step, but verify the skipper's claim
-            // that nothing happens strictly inside a predicted gap.
-            if (now + 1 < predicted_event) {
-                if (next != predicted_event) {
-                    panicWedged("event-skip invariant violated: "
-                                "event appeared inside predicted gap",
-                                now);
-                }
-            } else {
-                predicted_event = next;
-            }
-            ++now;
-        }
-    }
 }
 
 void
@@ -209,88 +80,92 @@ Gpu::catchUpAndTick(unsigned i, Cycle now)
         // completions (applied just before this call) don't disturb
         // the accounting: fastForwardStats reads only SM-phase state.
         sm.fastForwardStats(last, now);
-        smSkipped_[i] += now - last - 1;
+        statHorizonCycles_ += static_cast<double>(now - last - 1);
     }
     sm.tick(now);
-    smNextEvent_[i] = cfg_.eventCache ? sm.nextEventAfterTick(now)
-                                      : now + 1;
+    smNextEvent_[i] = sm.nextEventCycle(now);
     smLastTicked_[i] = now;
 }
 
-void
-Gpu::runHorizon(std::uint64_t &now, std::uint64_t max_cycles,
-                unsigned workers)
+Cycle
+Gpu::runLoop(std::uint64_t max_cycles, bool stepped)
 {
-    if (workers > 1)
-        team_ = std::make_unique<TickTeam>(workers);
-
     const unsigned n = static_cast<unsigned>(sms_.size());
-    smNextEvent_.assign(n, 0);  // everyone ticks at cycle 0
+    smNextEvent_.assign(n, 0); // everyone ticks at cycle 0
     smLastTicked_.assign(n, 0);
-    smSkipped_.assign(n, 0);
-    activeSms_.reserve(n);
+    // Stepped mode: the predicted end of the current eventless gap;
+    // every cycle strictly inside it must confirm the prediction.
+    Cycle predicted = 0;
 
-    for (;;) {
+    for (Cycle now = 0;;) {
         if (now >= max_cycles)
             panicWedged("simulation exceeded cycle bound", now);
 
-        // Serial memory phase: the canonical commit point. Staged L1
-        // traffic drains in SM-index order and completions fire here,
-        // flagging the SMs they woke.
+        // The memory system ticks first: it drains the SMs' L1 miss
+        // queues in SM-index order and fires completions, flagging the
+        // SMs they woke.
         mem_->tick(now);
 
-        activeSms_.clear();
+        Cycle next = kNeverCycle;
         for (unsigned i = 0; i < n; ++i) {
-            if (sms_[i]->wakePending() || smNextEvent_[i] <= now)
-                activeSms_.push_back(i);
-        }
-
-        // Parallel SM phase. SMs share nothing here (private L1s,
-        // per-SM stat groups); the barrier orders it against the
-        // memory phases on either side. Small cycles run inline — a
-        // barrier round trip costs more than one or two SM ticks.
-        if (team_ && activeSms_.size() >= 2) {
-            team_->run(
-                [this, now](std::size_t begin, std::size_t end) {
-                    for (std::size_t k = begin; k < end; ++k)
-                        catchUpAndTick(activeSms_[k], now);
-                },
-                activeSms_.size());
-        } else {
-            for (const unsigned i : activeSms_)
+            Sm &sm = *sms_[i];
+            if (sm.wakePending() || smNextEvent_[i] <= now) {
                 catchUpAndTick(i, now);
+            } else if (stepped) {
+                // Skipping rests on this tick changing nothing the SM
+                // predicts; the stepped loop runs it and checks.
+                sm.tick(now);
+                smLastTicked_[i] = now;
+                if (sm.nextEventCycle(now) != smNextEvent_[i]) {
+                    panicWedged("event-skip invariant violated: an SM "
+                                "neither due nor woken changed its "
+                                "next event",
+                                now);
+                }
+            }
+            next = std::min(next, smNextEvent_[i]);
         }
 
-        if (allDone())
-            break;
+        // Exact completion: no check-period slack inflating the count.
+        if (allDone()) {
+            // SMs that sat out the tail account per-cycle occupancy
+            // through the completion cycle.
+            for (unsigned i = 0; i < n; ++i) {
+                const Cycle last = smLastTicked_[i];
+                if (last < now) {
+                    sms_[i]->fastForwardStats(last, now + 1);
+                    statHorizonCycles_ += static_cast<double>(now - last);
+                }
+            }
+            return now;
+        }
 
-        // The horizon: the earliest cycle anything can happen — a
-        // memory-system event (which includes every pending completion
-        // delivery) or a cached SM self-event. Every wake cycle is a
-        // memory event, so no SM can be woken inside the jump.
-        Cycle next = mem_->nextEventCycle(now);
-        for (unsigned i = 0; i < n; ++i)
-            next = std::min(next, smNextEvent_[i]);
+        // Every cached SM event and every memory-system event lies
+        // after now, so a horizon of now + 1 needs no memory probe;
+        // this keeps the probe out of dense phases.
+        if (next > now + 1)
+            next = std::min(next, mem_->nextEventCycle(now));
         if (next == kNeverCycle)
             panicWedged("no future event but simulation not done", now);
+        // Main simulation loop: release builds skip the check.
         hsu_debug_assert(next > now,
                          "next event cycle must be in the future");
-        if (next > now + 1)
-            statFfCycles_ += static_cast<double>(next - now - 1);
-        now = next;
-    }
 
-    // SMs that sat out the tail still account per-cycle occupancy
-    // through the completion cycle, as the serial loop would (it ticks
-    // every SM on the break cycle too).
-    for (unsigned i = 0; i < n; ++i) {
-        if (smLastTicked_[i] < now) {
-            sms_[i]->fastForwardStats(smLastTicked_[i], now + 1);
-            smSkipped_[i] += now - smLastTicked_[i];
+        if (stepped) {
+            if (now + 1 >= predicted) {
+                predicted = next;
+            } else if (next != predicted) {
+                panicWedged("event-skip invariant violated: event "
+                            "appeared inside predicted gap",
+                            now);
+            }
+            ++now;
+        } else {
+            if (next > now + 1)
+                statFfCycles_ += static_cast<double>(next - now - 1);
+            now = next;
         }
     }
-    for (const std::uint64_t skipped : smSkipped_)
-        statHorizonCycles_ += static_cast<double>(skipped);
 }
 
 RunResult
@@ -300,26 +175,12 @@ Gpu::run(const KernelTrace &trace, std::uint64_t max_cycles)
     for (std::size_t i = 0; i < trace.warps.size(); ++i)
         sms_[i % sms_.size()]->addWarp(&trace.warps[i]);
 
-    const bool no_skip =
+    const bool stepped =
         cfg_.noSkip < 0 ? processNoSkipDefault() : cfg_.noSkip != 0;
-    const unsigned jobs =
-        cfg_.simJobs > 0 ? cfg_.simJobs : processSimJobsDefault();
-    // Threads beyond the SM count or the machine never help; clamping
-    // cannot change results (the horizon loop is schedule-oblivious).
-    const unsigned workers = std::min(
-        {jobs, cfg_.numSms,
-         std::max(1u, std::thread::hardware_concurrency())});
-
-    std::uint64_t now = 0;
-    if (jobs > 1 && !no_skip)
-        runHorizon(now, max_cycles, workers);
-    else
-        runSerial(now, max_cycles, !no_skip);
-
-    mergeSmStats();
+    const Cycle last = runLoop(max_cycles, stepped);
 
     RunResult r;
-    r.cycles = now + 1;
+    r.cycles = last + 1;
     r.instrsIssued = stats_.get("sm.instrs_issued");
     r.hsuCompleted = stats_.get("rtu.completed");
     r.l2LinesAccessed = stats_.get("l2.lines_accessed");

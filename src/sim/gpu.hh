@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/stats.hh"
-#include "common/tickteam.hh"
 #include "mem/memsys.hh"
 #include "sim/config.hh"
 #include "sim/sm.hh"
@@ -58,31 +57,20 @@ struct RunResult
  * The simulated GPU. Construct once per kernel run (components carry
  * run-local state); stats accumulate into the caller's StatGroup.
  *
- * Two run loops, bit-identical by construction:
+ * One single-threaded event-horizon loop. Each visited cycle ticks the
+ * memory system, then every SM that is due: its cached next self-event
+ * has come, or a memory completion woke it through its L1's observer.
+ * The clock then jumps to the horizon, the earliest cached SM event or
+ * memory-system event. An SM that sat out cycles first accounts the
+ * per-cycle occupancy stats those ticks would have recorded
+ * (Sm::fastForwardStats). Globally skipped cycles are reported as
+ * "sim.ff_cycles" and per-SM skipped ones as "sim.horizon_cycles";
+ * skipping changes no other stat.
  *
- *  - Serial (simJobs == 1, the reference): each cycle ticks the memory
- *    system then every SM, and fast-forwards the clock across
- *    provably-idle gaps (all warps stalled on DRAM, no queued
- *    traffic). HSU_NO_SKIP=1 forces the un-skipped loop, which
- *    additionally asserts that every predicted gap really was
- *    eventless. Skipped cycles are reported as "sim.ff_cycles".
- *
- *  - Event-horizon (simJobs > 1, HSU_SIM_JOBS): the memory system
- *    still ticks serially (the canonical commit point; SM traffic is
- *    staged in the private L1 miss queues and drained in SM-index
- *    order), but each SM carries its own cached next-event cycle and
- *    only ticks when it is due or a memory completion woke it. SM
- *    ticks within a cycle run concurrently on a TickTeam. Per-SM
- *    skipped cycles are reported as "sim.horizon_cycles", globally
- *    skipped ones as "sim.ff_cycles"; only these two diagnostics may
- *    differ between the loops — see DESIGN.md "Deterministic
- *    intra-simulation parallelism" for the identity argument.
- *
- * Per-SM stats ("sm.*" / "lsu.*" / "rtu.*") accumulate in per-SM
- * staging groups and merge into the caller's StatGroup in SM-index
- * order when the run finishes; every increment is an exact small
- * integer, so the merged totals equal the serial loop's shared-group
- * accumulation bit for bit.
+ * HSU_NO_SKIP=1 (GpuConfig::noSkip) runs the same loop one cycle at a
+ * time and ticks every SM every cycle. It panics when the horizon
+ * moves inside a gap it predicted, or when an SM that was neither due
+ * nor woken predicts a different next event after its tick.
  */
 class Gpu
 {
@@ -104,38 +92,24 @@ class Gpu
     /** True when every SM has drained and no memory request is alive. */
     bool allDone() const;
 
-    /** Global minimum next-event cycle across SMs + memory. */
-    Cycle nextEventCycle(Cycle now) const;
-
-    /** Reference loop: tick everything every visited cycle. */
-    void runSerial(std::uint64_t &now, std::uint64_t max_cycles,
-                   bool skip);
-
-    /** Parallel per-SM loop with cached next-event values. */
-    void runHorizon(std::uint64_t &now, std::uint64_t max_cycles,
-                    unsigned workers);
+    /**
+     * The cycle loop; returns the completion cycle. @p stepped visits
+     * every cycle and ticks every SM, checking each prediction.
+     */
+    Cycle runLoop(std::uint64_t max_cycles, bool stepped);
 
     /** Account SM @p i's skipped cycles, tick it, refresh its cache. */
     void catchUpAndTick(unsigned i, Cycle now);
-
-    /** Fold the per-SM staging groups into stats_ (SM-index order). */
-    void mergeSmStats();
 
     [[noreturn]] void panicWedged(const char *why, std::uint64_t now);
 
     GpuConfig cfg_;
     StatGroup &stats_;
     std::unique_ptr<MemorySystem> mem_;
-    std::vector<std::unique_ptr<StatGroup>> smStats_;
     std::vector<std::unique_ptr<Sm>> sms_;
-    bool smStatsMerged_ = false;
 
-    // Event-horizon state (sized/used by runHorizon only).
-    std::vector<Cycle> smNextEvent_;   //!< cached per-SM next event
-    std::vector<Cycle> smLastTicked_;  //!< last cycle the SM ticked
-    std::vector<std::uint64_t> smSkipped_; //!< per-SM skipped cycles
-    std::vector<unsigned> activeSms_;  //!< scratch: SMs due this cycle
-    std::unique_ptr<TickTeam> team_;
+    std::vector<Cycle> smNextEvent_;  //!< cached per-SM next event
+    std::vector<Cycle> smLastTicked_; //!< last cycle the SM ticked
 
     Stat &statFfCycles_;
     Stat &statHorizonCycles_;

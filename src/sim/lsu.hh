@@ -7,12 +7,10 @@
  * per cycle to the L1D — time-sharing the single L1 port with the RT
  * unit's FIFO memory access queue (Section VI-H).
  *
- * Thread model: the LSU is owned by one SM and is only touched from
- * that SM's tick (issue/tick) — its L1 traffic lands in the private
- * L1's miss queue, which the memory system drains in SM-index order.
- * Completion callbacks fire from Cache::tick during the serial memory
- * phase. Nothing here is shared across SMs, so the parallel horizon
- * loop needs no locks on this path.
+ * The LSU is owned by one SM and is only touched from that SM's tick
+ * (issue/tick) — its L1 traffic lands in the private L1's miss queue,
+ * which the memory system drains in SM-index order. Completion
+ * callbacks fire from Cache::tick, before the SMs tick.
  */
 
 #ifndef HSU_SIM_LSU_HH

@@ -387,30 +387,6 @@ Sm::nextEventCycle(Cycle now) const
     return next;
 }
 
-Cycle
-Sm::nextEventAfterTick(Cycle now)
-{
-    if (probeHold_ > 0) {
-        // Dense phase: skip the scan, answer conservatively. Extra
-        // ticks of an eventless SM are no-ops, so this cannot change
-        // results — it only caps the probe cost where the scan would
-        // keep answering "next cycle" anyway.
-        --probeHold_;
-        return now + 1;
-    }
-    const Cycle next = nextEventCycle(now);
-    if (next == now + 1) {
-        if (cfg_.probeDenseStreak != 0 &&
-            ++denseStreak_ >= cfg_.probeDenseStreak) {
-            probeHold_ = cfg_.probeInterval;
-            denseStreak_ = 0;
-        }
-    } else {
-        denseStreak_ = 0;
-    }
-    return next;
-}
-
 namespace
 {
 

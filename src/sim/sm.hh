@@ -65,18 +65,6 @@ class Sm
     Cycle nextEventCycle(Cycle now) const;
 
     /**
-     * Cached-event-probe variant for the horizon loop: called once
-     * right after tick(now), it returns the SM's next self-event with
-     * a dense-phase backoff — after cfg.probeDenseStreak consecutive
-     * "next cycle" answers it stops re-scanning and answers now + 1
-     * unconditionally for cfg.probeInterval ticks. The backoff only
-     * ever under-estimates (extra ticks of an unchanged SM are
-     * no-ops), so results are unaffected; it bounds the scan cost in
-     * compute-dense phases where the answer is always "next cycle".
-     */
-    Cycle nextEventAfterTick(Cycle now);
-
-    /**
      * True when a memory completion reached this SM since its last
      * tick (set by the L1's completion observer), invalidating the
      * cached next-event value. Cleared at the start of tick().
@@ -113,7 +101,7 @@ class Sm
         /**
          * Tokens cleared by completions since this SM last ticked.
          * fastForwardStats needs the token state *during* a skipped
-         * gap; the horizon loop applies a wake cycle's completions
+         * gap; the cycle loop applies a wake cycle's completions
          * before the catch-up call, so the gap-time mask is
          * pendingTokens | clearedSinceTick. Zero whenever the SM is
          * ticked every cycle (completions precede the tick).
@@ -190,9 +178,7 @@ class Sm
     unsigned finishing_ = 0;
     Cycle lastIssue_ = kNeverCycle; //!< last cycle any sub-core issued
     bool wakePending_ = false;
-    bool anyCleared_ = false;  //!< some warp has clearedSinceTick bits
-    unsigned denseStreak_ = 0; //!< consecutive "event next cycle" probes
-    unsigned probeHold_ = 0;   //!< remaining ticks answering now+1 blind
+    bool anyCleared_ = false; //!< some warp has clearedSinceTick bits
 
     Stat &statSlotCycles_;
     Stat &statBusyCycles_;

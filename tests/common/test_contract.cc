@@ -24,7 +24,6 @@
 #include "rtunit/rtunit.hh"
 #include "search/ggnn.hh"
 #include "search/runner.hh"
-#include "sim/gpu.hh"
 #include "structures/graph.hh"
 
 #include "../test_util.hh"
@@ -142,10 +141,6 @@ forceLinkage()
     const HnswGraph g = HnswGraph::build(pts, Metric::Euclidean);
     const GgnnKernel kernel(g, GgnnConfig{});     // ggnn.cc
     (void)kernel;
-    GpuConfig cfg;                               // gpu.cc
-    cfg.numSms = 1;
-    StatGroup gpu_stats;
-    (void)simulateKernel(cfg, KernelTrace{}, gpu_stats);
 }
 
 TEST(AuditRegistry, KnownSourcesAreRegistered)
@@ -157,7 +152,6 @@ TEST(AuditRegistry, KnownSourcesAreRegistered)
         "rtunit.cc:pendingLines_",
         "ggnn.cc:visited",
         "runner.cc:runJobsParallel",
-        "gpu.cc:mergeSmStats",
     };
     for (const char *site : expected)
         EXPECT_TRUE(audit::hasSource(site)) << site;

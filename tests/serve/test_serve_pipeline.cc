@@ -249,8 +249,9 @@ TEST(Pipeline, OrderBatchSortsByCoherenceKey)
         const std::uint64_t ka = keys[batch[i - 1].queryId];
         const std::uint64_t kb = keys[batch[i].queryId];
         EXPECT_LE(ka, kb);
-        if (ka == kb) // equal keys break ties by stream id
+        if (ka == kb) { // equal keys break ties by stream id
             EXPECT_LT(batch[i - 1].id, batch[i].id);
+        }
     }
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Cluster-server semantics: a 1x1 cluster with a zero-cost link
  * reproduces the single-instance server bit-for-bit, reports are
- * bit-identical across HSU_JOBS and HSU_SIM_JOBS, request accounting
+ * bit-identical across HSU_JOBS, request accounting
  * balances under overload and shedding, the link model shifts the
  * latency distribution, and the cluster-level queue-wait histogram is
  * the exact merge of the per-shard ones.
@@ -128,7 +128,7 @@ TEST(Cluster, OneByOneMatchesSingleServer)
     }
 }
 
-TEST(Cluster, BitIdenticalAcrossJobsAndSimJobs)
+TEST(Cluster, BitIdenticalAcrossJobs)
 {
     const auto reqs =
         stream(Algo::Btree, DatasetId::BTree10k, 1.0e-4, 64);
@@ -137,12 +137,10 @@ TEST(Cluster, BitIdenticalAcrossJobsAndSimJobs)
     cfg.mergeCyclesPerShard = 100;
 
     cfg.jobs = 1;
-    cfg.gpu.simJobs = 1;
     ClusterServer serial(Algo::Btree, DatasetId::BTree10k, cfg);
     const ClusterReport rep1 = serial.run(reqs);
 
     cfg.jobs = 4;
-    cfg.gpu.simJobs = 4;
     ClusterServer parallel(Algo::Btree, DatasetId::BTree10k, cfg);
     const ClusterReport rep4 = parallel.run(reqs);
     expectSameReport(rep1, rep4);
@@ -291,11 +289,11 @@ TEST(Cluster, DeadlineExpiryResolvesJoins)
     EXPECT_EQ(rep.completed + rep.shedRequests, rep.offered);
 }
 
-TEST(Cluster, CoherentPolicyBitIdenticalAcrossJobsAndSimJobs)
+TEST(Cluster, CoherentPolicyBitIdenticalAcrossJobs)
 {
     // The coherence sort happens per-lane AFTER routing, on data that
     // is a pure function of the batch contents — so the report must
-    // stay bit-identical whatever HSU_JOBS / HSU_SIM_JOBS say.
+    // stay bit-identical whatever HSU_JOBS says.
     const auto reqs =
         stream(Algo::Bvhnn, DatasetId::Random10k, 1.0e-3, 96);
     ClusterConfig cfg = smallCluster(2, 2);
@@ -303,12 +301,10 @@ TEST(Cluster, CoherentPolicyBitIdenticalAcrossJobsAndSimJobs)
     cfg.link.latencyCycles = 500;
     cfg.mergeCyclesPerShard = 100;
     cfg.jobs = 1;
-    cfg.gpu.simJobs = 1;
     const ClusterReport r1 =
         ClusterServer(Algo::Bvhnn, DatasetId::Random10k, cfg)
             .run(reqs);
     cfg.jobs = 4;
-    cfg.gpu.simJobs = 4;
     ClusterServer parallel(Algo::Bvhnn, DatasetId::Random10k, cfg);
     const ClusterReport r4 = parallel.run(reqs);
     expectSameReport(r1, r4);

@@ -86,8 +86,9 @@ TEST(Partition, SpatialKeyRangesDisjointAscending)
             EXPECT_GE(keys[rank], slice.keyLo);
             EXPECT_LE(keys[rank], slice.keyHi);
         }
-        if (s > 0)
+        if (s > 0) {
             EXPECT_GT(slice.keyLo, part.shards[s - 1].keyHi);
+        }
     }
 }
 

@@ -4,7 +4,7 @@
  * shard::ClusterServer (router + per-lane pipelines) lint clean under
  * the full SV/SH/CH rule set, attaching the recorder does not perturb
  * the cluster report, and the recorded log is bit-identical across
- * HSU_JOBS / HSU_SIM_JOBS.
+ * HSU_JOBS.
  */
 
 #include <gtest/gtest.h>
@@ -128,7 +128,7 @@ TEST(ScheduleCluster, RecorderDoesNotPerturbCluster)
     EXPECT_FALSE(log.events.empty());
 }
 
-TEST(ScheduleCluster, LogBitIdenticalAcrossJobsAndSimJobs)
+TEST(ScheduleCluster, LogBitIdenticalAcrossJobs)
 {
     const auto reqs =
         stream(Algo::Btree, DatasetId::BTree10k, 1.0e-3, 64);
@@ -137,14 +137,12 @@ TEST(ScheduleCluster, LogBitIdenticalAcrossJobsAndSimJobs)
 
     ScheduleLog serialLog;
     cfg.jobs = 1;
-    cfg.gpu.simJobs = 1;
     cfg.scheduleLog = &serialLog;
     ClusterServer serial(Algo::Btree, DatasetId::BTree10k, cfg);
     const ClusterReport rep1 = serial.run(reqs);
 
     ScheduleLog parallelLog;
     cfg.jobs = 4;
-    cfg.gpu.simJobs = 4;
     cfg.scheduleLog = &parallelLog;
     ClusterServer parallel(Algo::Btree, DatasetId::BTree10k, cfg);
     const ClusterReport rep4 = parallel.run(reqs);

@@ -182,17 +182,22 @@ loadStallTrace(unsigned warps, std::uint64_t seed)
     return kt;
 }
 
+/** Compare full stat dumps; @p loop_diagnostics_may_differ exempts
+ *  the two skip counters, which only count what the loop jumped. */
 void
 expectSameDump(const StatGroup &a, const StatGroup &b,
-               const std::string &ignore = "")
+               bool loop_diagnostics_may_differ = false)
 {
     const auto da = a.dump();
     const auto db = b.dump();
     ASSERT_EQ(da.size(), db.size());
     for (std::size_t i = 0; i < da.size(); ++i) {
         ASSERT_EQ(da[i].first, db[i].first);
-        if (da[i].first == ignore)
+        if (loop_diagnostics_may_differ &&
+            (da[i].first == "sim.ff_cycles" ||
+             da[i].first == "sim.horizon_cycles")) {
             continue;
+        }
         EXPECT_EQ(da[i].second, db[i].second) << da[i].first;
     }
 }
@@ -200,39 +205,60 @@ expectSameDump(const StatGroup &a, const StatGroup &b,
 TEST(Determinism, FastForwardMatchesPerCycleLoop)
 {
     // Bit-identical counters with idle-cycle skipping on and off; only
-    // the skip diagnostic itself may differ. HSU_NO_SKIP additionally
-    // asserts each predicted gap really was eventless.
-    // Sparse occupancy (one warp per SM) so dependent loads leave
-    // DRAM-latency gaps the skipper can actually jump. Both scheduler
-    // policies: RoundRobin rotates its stall-attribution head every
-    // cycle, the hardest case for the skipped-gap stat compensation.
-    for (const auto &[warps, sms] : {std::pair{2u, 2u},
-                                     // 2 warps/sub-core: stalled gaps
-                                     // with a multi-candidate order.
-                                     std::pair{8u, 1u}})
+    // the skip diagnostics may differ. The stepped side also checks
+    // every prediction the skipping side rests on: each gap's end, and
+    // each SM's next event while it is neither due nor woken.
+    // Inputs: sparse occupancy (one warp per SM), so dependent loads
+    // leave DRAM-latency gaps the whole GPU jumps; 2 warps per
+    // sub-core stalled on loads, for gaps with a multi-candidate
+    // order; and four busy SMs that sleep and wake one by one. Both
+    // scheduler policies: RoundRobin rotates its stall-attribution
+    // head every cycle, the hardest case for the skipped-gap stat
+    // compensation.
+    const struct
+    {
+        const char *name;
+        KernelTrace trace;
+        unsigned sms;
+        bool loadStall;
+    } cases[] = {
+        {"mixedTrace(2, 41) on 2 SMs", mixedTrace(2, 41), 2, false},
+        {"loadStallTrace(8, 41) on 1 SM", loadStallTrace(8, 41), 1, true},
+        {"mixedTrace(24, 47) on 4 SMs", mixedTrace(24, 47), 4, false},
+        {"loadStallTrace(16, 47) on 4 SMs", loadStallTrace(16, 47), 4,
+         true},
+    };
+    for (const auto &c : cases)
     for (const auto policy :
          {SchedulerPolicy::Gto, SchedulerPolicy::RoundRobin}) {
-        const KernelTrace trace = sms == 1
-            ? loadStallTrace(warps, 41)
-            : mixedTrace(warps, 41);
+        SCOPED_TRACE(std::string(c.name) +
+                     (policy == SchedulerPolicy::Gto ? ", GTO"
+                                                     : ", round-robin"));
         GpuConfig cfg;
-        cfg.numSms = sms;
+        cfg.numSms = c.sms;
         cfg.scheduler = policy;
         cfg.finalize();
+        // Both sides set the override: HSU_NO_SKIP, latched once per
+        // process, would otherwise step the skipping side too.
+        GpuConfig skip_cfg = cfg;
+        skip_cfg.noSkip = 0;
+        GpuConfig stepped_cfg = cfg;
+        stepped_cfg.noSkip = 1;
 
-        StatGroup skip_stats, noskip_stats;
-        const RunResult skip = simulateKernel(cfg, trace, skip_stats);
-        // The HSU_NO_SKIP env default is latched once per process, so
-        // tests opt in through the config override instead of setenv.
-        GpuConfig noskip_cfg = cfg;
-        noskip_cfg.noSkip = 1;
-        const RunResult noskip =
-            simulateKernel(noskip_cfg, trace, noskip_stats);
+        StatGroup skip_stats, stepped_stats;
+        const RunResult skip =
+            simulateKernel(skip_cfg, c.trace, skip_stats);
+        const RunResult stepped =
+            simulateKernel(stepped_cfg, c.trace, stepped_stats);
 
-        EXPECT_EQ(skip.cycles, noskip.cycles);
+        EXPECT_EQ(skip.cycles, stepped.cycles);
         EXPECT_GT(skip_stats.get("sim.ff_cycles"), 0.0);
-        EXPECT_EQ(noskip_stats.get("sim.ff_cycles"), 0.0);
-        expectSameDump(skip_stats, noskip_stats, "sim.ff_cycles");
+        if (c.loadStall) {
+            EXPECT_GT(skip_stats.get("sim.horizon_cycles"), 0.0);
+        }
+        EXPECT_EQ(stepped_stats.get("sim.ff_cycles"), 0.0);
+        EXPECT_EQ(stepped_stats.get("sim.horizon_cycles"), 0.0);
+        expectSameDump(skip_stats, stepped_stats, true);
     }
 }
 

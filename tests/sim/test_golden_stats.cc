@@ -5,8 +5,8 @@
  * lowered for the baseline and for HSU, under configurations that
  * between them reach every issue and stall path of the timing model.
  *
- * test_determinism and test_sim_parallel compare two runs of the same
- * simulator, so a bug both runs share passes them. These pins compare
+ * test_determinism compares two runs of the same simulator, so a bug
+ * both runs share passes it. These pins compare
  * against the simulator as it was when they were captured: a host-side
  * change to the cycle loop (issue order, stall accounting, event
  * skipping) must leave every value here unchanged. Only
@@ -178,7 +178,7 @@ defaults()
 
 // Captured before the SM issue loop was restructured (live-warp lists,
 // coalesce-once line buffers, stall replay); the same rows hold for
-// the serial loop, the event-horizon loop and the single-stepped loop.
+// the skipping and the stepped loop.
 const std::vector<Pin> kDefaultPins = {
     {"ggnn_euclid/base", 34531, 0x1c6519db6039cfb9ull},
     {"ggnn_euclid/hsu", 12318, 0xc937c1dbcf35000full},
@@ -195,22 +195,13 @@ const std::vector<Pin> kDefaultPins = {
 };
 
 // The default machine, through whichever loop the environment selects
-// (HSU_SIM_JOBS / HSU_NO_SKIP).
+// (HSU_NO_SKIP).
 TEST(GoldenStats, Default)
 {
     expectPinned(defaults(), false, kDefaultPins);
 }
 
-// The horizon loop: per-SM cached next events, skipped SMs caught up by
-// fastForwardStats, SM ticks on TickTeam workers.
-TEST(GoldenStats, SimJobs4)
-{
-    GpuConfig cfg = defaults();
-    cfg.simJobs = 4;
-    expectPinned(cfg, false, kDefaultPins);
-}
-
-// The single-stepped loop, which also checks every predicted gap.
+// The stepped loop, which also checks every skip prediction.
 TEST(GoldenStats, NoSkip)
 {
     GpuConfig cfg = defaults();
@@ -261,11 +252,11 @@ TEST(GoldenStats, WarpBuffer1)
     expectPinned(cfg, true, kWarpBuffer1Pins);
 }
 
-TEST(GoldenStats, WarpBuffer1SimJobs4)
+TEST(GoldenStats, WarpBuffer1NoSkip)
 {
     GpuConfig cfg = defaults();
     cfg.warpBufferSize = 1;
-    cfg.simJobs = 4;
+    cfg.noSkip = 1;
     expectPinned(cfg, true, kWarpBuffer1Pins);
 }
 
@@ -314,9 +305,11 @@ TEST(GoldenStats, OneSm)
 // The refusal paths: an L1 request the cache refuses is retried until
 // a fill or a miss-queue pop could let it in. Each variant below makes
 // one refusal kind common, and runs under the loop the environment
-// selects and under the horizon loop, whose SMs only wake for their
-// own events and their L1's completions. Captured before refused L1
-// requests were parked (DESIGN.md "Simulation execution").
+// selects (by default the skipping loop, whose SMs only wake for their
+// own events and their L1's completions) and under the stepped loop,
+// which checks that no SM's prediction changes without a wake.
+// Captured before refused L1 requests were parked (DESIGN.md
+// "Simulation execution").
 
 // A two-entry L1 miss queue: reads and writes are refused for a full
 // queue, and a pop (not a fill) is what admits the refused head.
@@ -348,10 +341,10 @@ TEST(GoldenStats, L1MissQueue2)
     expectPinned(l1MissQueue2(), false, kL1MissQueue2Pins);
 }
 
-TEST(GoldenStats, L1MissQueue2SimJobs4)
+TEST(GoldenStats, L1MissQueue2NoSkip)
 {
     GpuConfig cfg = l1MissQueue2();
-    cfg.simJobs = 4;
+    cfg.noSkip = 1;
     expectPinned(cfg, false, kL1MissQueue2Pins);
 }
 
@@ -385,10 +378,10 @@ TEST(GoldenStats, L1Merges1)
     expectPinned(l1Merges1(), false, kL1Merges1Pins);
 }
 
-TEST(GoldenStats, L1Merges1SimJobs4)
+TEST(GoldenStats, L1Merges1NoSkip)
 {
     GpuConfig cfg = l1Merges1();
-    cfg.simJobs = 4;
+    cfg.noSkip = 1;
     expectPinned(cfg, false, kL1Merges1Pins);
 }
 
@@ -422,10 +415,10 @@ TEST(GoldenStats, L2Mshr4)
     expectPinned(l2Mshr4(), false, kL2Mshr4Pins);
 }
 
-TEST(GoldenStats, L2Mshr4SimJobs4)
+TEST(GoldenStats, L2Mshr4NoSkip)
 {
     GpuConfig cfg = l2Mshr4();
-    cfg.simJobs = 4;
+    cfg.noSkip = 1;
     expectPinned(cfg, false, kL2Mshr4Pins);
 }
 
