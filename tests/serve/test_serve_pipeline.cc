@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "serve/pipeline.hh"
 #include "serve/policy.hh"
 #include "serve/server.hh"
@@ -221,6 +223,109 @@ TEST(Pipeline, GoldenFifoTwoShardCluster)
     EXPECT_EQ(r.shards[1].subqueries, 28u);
     EXPECT_EQ(r.shards[1].batches, 18u);
     EXPECT_EQ(r.shards[1].queueWaitCycles.sum(), 0x1.bbf48p+18);
+}
+
+/** Print @p r's pinned fields, to re-pin after a failure. */
+void
+printPins(const ServeReport &r)
+{
+    std::printf("admitted %llu cacheHits %llu completed %llu batches %llu "
+                "shedAdmission %llu shedExpired %llu degraded %llu "
+                "last %llu latency %a queueWait %a\n",
+                static_cast<unsigned long long>(r.admitted),
+                static_cast<unsigned long long>(r.cacheHits),
+                static_cast<unsigned long long>(r.completed),
+                static_cast<unsigned long long>(r.batches),
+                static_cast<unsigned long long>(r.shedAdmission),
+                static_cast<unsigned long long>(r.shedExpired),
+                static_cast<unsigned long long>(r.degraded),
+                static_cast<unsigned long long>(r.lastCompletionCycle),
+                r.latencyCycles.sum(), r.queueWaitCycles.sum());
+}
+
+// Case E: B+tree over the full 1024-query pool, some of whose keys
+// fall outside the dataset's key range. The server queues and runs
+// those requests like any other; a 1x1 cluster answers them at its
+// router, so the two must not be compared on this stream.
+TEST(Pipeline, GoldenBtreeFullPoolServer)
+{
+    ArrivalConfig arr;
+    arr.ratePerCycle = 2.0e-3;
+    arr.queryPoolSize = 1024;
+    arr.seed = 17;
+    const auto reqs =
+        ArrivalGenerator(arr, Algo::Btree, DatasetId::BTree10k)
+            .generate(1024);
+
+    ServerConfig cfg = goldenServerConfig(2);
+    cfg.pipeline.batch.maxBatch = 512;
+    cfg.queryPoolSize = 1024;
+    const ServeReport r =
+        Server(Algo::Btree, DatasetId::BTree10k, cfg).run(reqs);
+
+    EXPECT_EQ(r.offered, 1024u);
+    EXPECT_EQ(r.admitted, 1024u);
+    EXPECT_EQ(r.cacheHits, 0u);
+    EXPECT_EQ(r.completed, 1024u);
+    EXPECT_EQ(r.batches, 26u);
+    EXPECT_EQ(r.shedAdmission, 0u);
+    EXPECT_EQ(r.shedExpired, 0u);
+    EXPECT_EQ(r.degraded, 0u);
+    EXPECT_EQ(r.lastCompletionCycle, 542'049u);
+    EXPECT_EQ(r.latencyCycles.sum(), 0x1.a566bap+23);
+    EXPECT_EQ(r.queueWaitCycles.sum(), 0x1.3d01e2p+23);
+    if (HasFailure())
+        printPins(r);
+
+    shard::ClusterConfig ccfg;
+    ccfg.gpu = cfg.gpu;
+    ccfg.numShards = 1;
+    ccfg.replicasPerShard = 1;
+    ccfg.pipeline = cfg.pipeline;
+    ccfg.queryPoolSize = 1024;
+    const shard::ClusterReport c =
+        shard::ClusterServer(Algo::Btree, DatasetId::BTree10k, ccfg)
+            .run(reqs);
+    EXPECT_LT(c.subqueries + c.cacheHits, c.offered)
+        << "no request of this stream was answered at the router";
+}
+
+// Case F: a cached, degraded 2-instance server — a Zipf stream through
+// a Tolerant cache, with a high watermark low enough that some batches
+// run degraded (and, by default, do not fill the cache).
+TEST(Pipeline, GoldenCachedDegradedServer)
+{
+    ArrivalConfig arr;
+    arr.ratePerCycle = 4.0e-4;
+    arr.queryPoolSize = 64;
+    arr.queryDist = QueryDist::Zipf;
+    arr.seed = 23;
+    const auto reqs =
+        ArrivalGenerator(arr, Algo::Ggnn, DatasetId::Sift10k).generate(192);
+
+    ServerConfig cfg = goldenServerConfig(2);
+    cfg.pipeline.degrade.highWater = 8;
+    cfg.pipeline.degrade.shedWater = 24;
+    cfg.pipeline.degrade.degradedKnobs = ServeKnobs{8, 4};
+    cfg.pipeline.cache.capacity = 8;
+    cfg.pipeline.cache.mode = CacheMode::Tolerant;
+    cfg.pipeline.cache.toleranceLevels = 18;
+    const ServeReport r =
+        Server(Algo::Ggnn, DatasetId::Sift10k, cfg).run(reqs);
+
+    EXPECT_EQ(r.offered, 192u);
+    EXPECT_EQ(r.admitted, 192u);
+    EXPECT_EQ(r.cacheHits, 65u);
+    EXPECT_EQ(r.completed, 192u);
+    EXPECT_EQ(r.batches, 23u);
+    EXPECT_EQ(r.shedAdmission, 0u);
+    EXPECT_EQ(r.shedExpired, 0u);
+    EXPECT_EQ(r.degraded, 48u);
+    EXPECT_EQ(r.lastCompletionCycle, 536'001u);
+    EXPECT_EQ(r.latencyCycles.sum(), 0x1.23df2cp+22);
+    EXPECT_EQ(r.queueWaitCycles.sum(), 0x1.4a381p+20);
+    if (HasFailure())
+        printPins(r);
 }
 
 TEST(Pipeline, OrderBatchSortsByCoherenceKey)
