@@ -2,7 +2,7 @@
  * @file
  * Compact deterministic event log of the serving schedulers.
  *
- * The serve/shard layers (serve/pipeline, serve/cache, shard/cluster)
+ * The serving layers (serve/pipeline, serve/cache, serve/loop)
  * can record every scheduling decision — admissions, batch
  * seal/dispatch/resolve, cache hit/miss/insert/evict, scatter/gather
  * hops and join resolutions — as a flat sequence of fixed-size events
@@ -43,9 +43,9 @@ namespace hsu
  *    kCacheBtree | kCacheTolerantMode), c=hitLatencyCycles.
  *  - ClusterConfig: a=scatterHopCycles, b=gatherHopCycles,
  *    c=mergeCyclesPerShard (router lane, cycle 0).
- *  - Admit: cycle=arrival, a=request id, b=query id,
- *    c=(outcome | depth << 2) with outcome 0=queued, 1=cache hit,
- *    2=shed; depth sampled before any queue push.
+ *  - Admit: cycle=arrival at the lane, a=request id, b=query id,
+ *    c=(outcome | depth << 2) with outcome 0=queued, 2=shed; depth
+ *    sampled before any queue push.
  *  - Expire: cycle=batch-formation cycle, a=request id,
  *    b=deadlineCycle.
  *  - BatchSeal: cycle=formation, a=batch seq, b=batch size,
@@ -99,7 +99,6 @@ enum class ScheduleEventKind : std::uint8_t
 
 /** Admit outcome codes (low 2 bits of the Admit event's c payload). */
 inline constexpr std::uint64_t kAdmitQueued = 0;
-inline constexpr std::uint64_t kAdmitCacheHit = 1;
 inline constexpr std::uint64_t kAdmitShed = 2;
 
 /** CacheConfig flag bits (b payload). */
@@ -107,7 +106,7 @@ inline constexpr std::uint64_t kCacheExactOnly = 1;    //!< keys == ids
 inline constexpr std::uint64_t kCacheBtree = 2;        //!< Keys family
 inline constexpr std::uint64_t kCacheTolerantMode = 4; //!< requested
 
-/** The router's lane id in cluster logs (pipeline lanes count up
+/** The router's lane id in serving logs (pipeline lanes count up
  *  from 0; the router never owns a pipeline). */
 inline constexpr std::uint32_t kRouterLane = 0xffffffffu;
 

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <tuple>
@@ -29,9 +30,6 @@
 #include "common/rng.hh"
 #include "common/threadpool.hh"
 #include "geom/morton.hh"
-#include "search/btree_kernel.hh"
-#include "search/bvhnn.hh"
-#include "search/flann.hh"
 #include "structures/serialize.hh"
 
 namespace hsu
@@ -301,7 +299,8 @@ pickRadius(const PointSet &points, std::uint64_t seed)
 }
 
 std::string
-indexCacheStem(const DatasetInfo &info, const std::string &kind,
+indexCacheStem(const DatasetInfo &info, const DatasetSlice &slice,
+               const std::string &kind,
                std::initializer_list<std::uint64_t> builder)
 {
     // Bump when the serialized layout or the dataset generators change,
@@ -310,6 +309,11 @@ indexCacheStem(const DatasetInfo &info, const std::string &kind,
     std::uint64_t h = deriveSeed(kFormatVersion, info.seed);
     h = deriveSeed(h, info.simPoints);
     h = deriveSeed(h, info.dim);
+    if (slice.numShards > 1) {
+        h = deriveSeed(h, slice.policy);
+        h = deriveSeed(h, slice.numShards);
+        h = deriveSeed(h, slice.shard);
+    }
     h = deriveSeed(h, builder.size());
     for (const std::uint64_t v : builder)
         h = deriveSeed(h, v);
@@ -321,37 +325,6 @@ indexCacheStem(const DatasetInfo &info, const std::string &kind,
 
 namespace
 {
-
-/**
- * Memoized per-dataset index assets (expensive to build, immutable
- * once built, safe to share across simulation threads), keyed through
- * the shared build-once cache (common/memo.hh). Queries are
- * NOT cached: they depend on the per-call RunnerOptions, so each trace
- * emission regenerates them — a pure, cheap function of the dataset
- * seed, which keeps results independent of job order and thread count.
- */
-struct GgnnAssets
-{
-    PointSet points;
-    std::unique_ptr<HnswGraph> graph;
-    std::unique_ptr<GgnnKernel> kernel;
-};
-
-struct PointAssets
-{
-    PointSet points;
-    float radius = 0.0f;
-    std::unique_ptr<Lbvh> bvh;
-    std::unique_ptr<BvhnnKernel> bvhKernel;
-    std::unique_ptr<KdTree> kdtree;
-    std::unique_ptr<FlannKernel> flannKernel;
-};
-
-struct KeyAssets
-{
-    std::unique_ptr<BTree> tree;
-    std::unique_ptr<BtreeKernel> kernel;
-};
 
 /**
  * Persistent index cache (the build-once/query-many split of RTNN /
@@ -417,84 +390,10 @@ cachedIndex(const std::string &file, LoadFn load, BuildFn build,
     return built;
 }
 
-/** Builder parameters of the runner's indexes (the cache keys them). */
+/** Builder parameters of every index (the cache keys them). */
 constexpr unsigned kKdLeafSize = 16;
 constexpr unsigned kBtreeOrder = 256;
 constexpr double kBtreeLeafFill = 0.7;
-
-const GgnnAssets &
-ggnnAssets(DatasetId id)
-{
-    return cachedAssets<GgnnAssets>(id, [id](GgnnAssets &a) {
-        const DatasetInfo &info = datasetInfo(id);
-        const HnswParams hp{};
-        // Build in place: the graph/kernel hold references into the
-        // slot-resident PointSet, so it must never move after build.
-        a.points = generatePoints(info);
-        a.graph = std::make_unique<HnswGraph>(cachedIndex<HnswGraph>(
-            indexCacheFile(indexCacheStem(
-                info, "hnsw",
-                {static_cast<std::uint64_t>(info.metric), hp.degree,
-                 hp.degreeLayer0, hp.efConstruction, hp.seed})),
-            [&](std::istream &is) { return loadGraph(is, a.points); },
-            [&] { return HnswGraph::build(a.points, info.metric, hp); },
-            [](std::ostream &os, const HnswGraph &g) {
-                saveGraph(os, g);
-            }));
-        a.kernel = std::make_unique<GgnnKernel>(*a.graph, GgnnConfig{});
-    });
-}
-
-const PointAssets &
-pointAssets(DatasetId id)
-{
-    return cachedAssets<PointAssets>(id, [id](PointAssets &a) {
-        const DatasetInfo &info = datasetInfo(id);
-        a.points = generatePoints(info);
-        a.radius = pickRadius(a.points);
-        a.bvh = std::make_unique<Lbvh>(cachedIndex<Lbvh>(
-            indexCacheFile(indexCacheStem(
-                info, "lbvh", {std::bit_cast<std::uint32_t>(a.radius)})),
-            [](std::istream &is) { return loadLbvh(is); },
-            [&] { return Lbvh::buildFromPoints(a.points, a.radius); },
-            [](std::ostream &os, const Lbvh &b) { saveLbvh(os, b); }));
-        a.bvhKernel = std::make_unique<BvhnnKernel>(
-            a.points, *a.bvh, BvhnnConfig{a.radius});
-        a.kdtree = std::make_unique<KdTree>(cachedIndex<KdTree>(
-            indexCacheFile(indexCacheStem(info, "kdtree", {kKdLeafSize})),
-            [&](std::istream &is) { return loadKdTree(is, a.points); },
-            [&] { return KdTree::build(a.points, kKdLeafSize); },
-            [](std::ostream &os, const KdTree &t) { saveKdTree(os, t); }));
-        a.flannKernel = std::make_unique<FlannKernel>(*a.kdtree);
-    });
-}
-
-const KeyAssets &
-keyAssets(DatasetId id)
-{
-    return cachedAssets<KeyAssets>(id, [id](KeyAssets &a) {
-        const DatasetInfo &info = datasetInfo(id);
-        a.tree = std::make_unique<BTree>(cachedIndex<BTree>(
-            indexCacheFile(indexCacheStem(
-                info, "btree",
-                {kBtreeOrder, std::bit_cast<std::uint64_t>(kBtreeLeafFill)})),
-            [](std::istream &is) { return loadBTree(is); },
-            [&] {
-                auto keys = generateKeys(info);
-                std::vector<std::pair<std::uint32_t, std::uint32_t>>
-                    pairs;
-                pairs.reserve(keys.size());
-                for (std::size_t i = 0; i < keys.size(); ++i) {
-                    pairs.emplace_back(keys[i],
-                                       static_cast<std::uint32_t>(i));
-                }
-                return BTree::build(std::move(pairs), kBtreeOrder,
-                                    kBtreeLeafFill);
-            },
-            [](std::ostream &os, const BTree &t) { saveBTree(os, t); }));
-        a.kernel = std::make_unique<BtreeKernel>(*a.tree);
-    });
-}
 
 /**
  * Deterministic per-dataset serving query pool: the fixed universe of
@@ -521,6 +420,96 @@ servePool(DatasetId id, std::size_t pool_size)
 }
 
 } // namespace
+
+void
+buildDatasetIndex(DatasetIndex &idx, DatasetId dataset,
+                  const DatasetSlice &slice, std::vector<std::uint32_t> ids)
+{
+    const DatasetInfo &info = datasetInfo(dataset);
+    idx.dataset = dataset;
+    idx.ids = std::move(ids);
+    const auto file = [&](const char *kind,
+                          std::initializer_list<std::uint64_t> builder) {
+        return indexCacheFile(indexCacheStem(info, slice, kind, builder));
+    };
+
+    if (info.kind == DatasetKind::Keys) {
+        idx.btree = std::make_unique<BTree>(cachedIndex<BTree>(
+            file("btree",
+                 {kBtreeOrder, std::bit_cast<std::uint64_t>(kBtreeLeafFill)}),
+            [](std::istream &is) { return loadBTree(is); },
+            [&] {
+                // Ranks in the sorted key set are the element ids.
+                const std::vector<std::uint32_t> keys = generateKeys(info);
+                const std::size_t n =
+                    idx.ids.empty() ? keys.size() : idx.ids.size();
+                std::vector<std::pair<std::uint32_t, std::uint32_t>>
+                    pairs;
+                pairs.reserve(n);
+                for (std::uint32_t i = 0; i < n; ++i) {
+                    const std::uint32_t rank = idx.globalId(i);
+                    pairs.emplace_back(keys[rank], rank);
+                }
+                return BTree::build(std::move(pairs), kBtreeOrder,
+                                    kBtreeLeafFill);
+            },
+            [](std::ostream &os, const BTree &t) { saveBTree(os, t); }));
+        idx.btreeKernel = std::make_unique<BtreeKernel>(*idx.btree);
+        return;
+    }
+
+    // The whole dataset keeps the points it generates; a slice gathers
+    // its own. Either way they stay put: the kernels built below hold
+    // references into them.
+    PointSet full = generatePoints(info);
+    if (info.kind == DatasetKind::Point3d)
+        idx.radius = pickRadius(full);
+    if (idx.ids.empty()) {
+        idx.points = std::move(full);
+    } else {
+        idx.points = PointSet(full.dim());
+        idx.points.reserve(idx.ids.size());
+        for (const std::uint32_t id : idx.ids)
+            idx.points.add(full[id]);
+    }
+
+    if (info.kind == DatasetKind::HighDim) {
+        const HnswParams hp{};
+        idx.graph = std::make_unique<HnswGraph>(cachedIndex<HnswGraph>(
+            file("hnsw",
+                 {static_cast<std::uint64_t>(info.metric), hp.degree,
+                  hp.degreeLayer0, hp.efConstruction, hp.seed}),
+            [&](std::istream &is) { return loadGraph(is, idx.points); },
+            [&] { return HnswGraph::build(idx.points, info.metric, hp); },
+            [](std::ostream &os, const HnswGraph &g) {
+                saveGraph(os, g);
+            }));
+        idx.ggnn = std::make_unique<GgnnKernel>(*idx.graph, GgnnConfig{});
+        return;
+    }
+
+    idx.bvh = std::make_unique<Lbvh>(cachedIndex<Lbvh>(
+        file("lbvh", {std::bit_cast<std::uint32_t>(idx.radius)}),
+        [](std::istream &is) { return loadLbvh(is); },
+        [&] { return Lbvh::buildFromPoints(idx.points, idx.radius); },
+        [](std::ostream &os, const Lbvh &b) { saveLbvh(os, b); }));
+    idx.bvhnn = std::make_unique<BvhnnKernel>(idx.points, *idx.bvh,
+                                              BvhnnConfig{idx.radius});
+    idx.kdtree = std::make_unique<KdTree>(cachedIndex<KdTree>(
+        file("kdtree", {kKdLeafSize}),
+        [&](std::istream &is) { return loadKdTree(is, idx.points); },
+        [&] { return KdTree::build(idx.points, kKdLeafSize); },
+        [](std::ostream &os, const KdTree &t) { saveKdTree(os, t); }));
+    idx.flann = std::make_unique<FlannKernel>(*idx.kdtree);
+}
+
+const DatasetIndex &
+datasetIndex(DatasetId dataset)
+{
+    return cachedAssets<DatasetIndex>(dataset, [dataset](DatasetIndex &idx) {
+        buildDatasetIndex(idx, dataset, DatasetSlice{}, {});
+    });
+}
 
 const PointSet &
 serveQueryPoints(DatasetId dataset, std::size_t pool_size)
@@ -593,41 +582,82 @@ maybeLintEmission([[maybe_unused]] const SemKernelTrace &sem,
 } // namespace
 
 SemKernelTrace
-emitSemantic(Algo algo, DatasetId id, const RunnerOptions &opts)
+emitIndexSem(Algo algo, const DatasetIndex &idx,
+             const std::vector<std::uint32_t> &query_ids,
+             std::size_t pool_size, const ServeKnobs &knobs)
 {
+    hsu_assert(!query_ids.empty(), "empty query batch");
     SemKernelTrace sem = [&]() -> SemKernelTrace {
         const ScopedPhaseTimer timer(PipelinePhase::Emit);
-        const DatasetInfo &info = datasetInfo(id);
+        const ServePool &pool = servePool(idx.dataset, pool_size);
+        const auto gather_points = [&] {
+            PointSet batch(pool.points.dim());
+            batch.reserve(query_ids.size());
+            for (const std::uint32_t q : query_ids) {
+                hsu_assert(q < pool.points.size(),
+                           "query id out of pool: ", q);
+                batch.add(pool.points[q]);
+            }
+            return batch;
+        };
         switch (algo) {
           case Algo::Ggnn: {
-            const auto &a = ggnnAssets(id);
-            const PointSet queries =
-                generateQueries(info, opts.ggnnQueries);
-            return a.kernel->emit(queries).sem;
+            // Default-quality batches reuse the index's kernel (its
+            // address layouts are identical to a freshly constructed
+            // one — allocation is deterministic per kernel); degraded
+            // batches instantiate one with the shrunk knobs, which is
+            // cheap (address layouts only).
+            if (knobs == ServeKnobs{})
+                return idx.ggnn->emit(gather_points()).sem;
+            GgnnConfig cfg;
+            cfg.ef = knobs.ggnnEf;
+            cfg.k = knobs.ggnnK;
+            const GgnnKernel kernel(*idx.graph, cfg);
+            return kernel.emit(gather_points()).sem;
           }
-          case Algo::Flann: {
-            const auto &a = pointAssets(id);
-            const PointSet queries =
-                generateQueries(info, opts.pointQueries);
-            return a.flannKernel->emit(queries).sem;
-          }
-          case Algo::Bvhnn: {
-            const auto &a = pointAssets(id);
-            const PointSet queries =
-                generateQueries(info, opts.pointQueries);
-            return a.bvhKernel->emit(queries).sem;
-          }
+          case Algo::Flann:
+            return idx.flann->emit(gather_points()).sem;
+          case Algo::Bvhnn:
+            return idx.bvhnn->emit(gather_points()).sem;
           case Algo::Btree: {
-            const auto &a = keyAssets(id);
-            const std::vector<std::uint32_t> queries =
-                generateKeyQueries(info, opts.keyQueries);
-            return a.kernel->emit(queries).sem;
+            std::vector<std::uint32_t> batch;
+            batch.reserve(query_ids.size());
+            for (const std::uint32_t q : query_ids) {
+                hsu_assert(q < pool.keys.size(),
+                           "query id out of pool: ", q);
+                batch.push_back(pool.keys[q]);
+            }
+            return idx.btreeKernel->emit(batch).sem;
           }
         }
         hsu_panic("unknown algo");
     }();
     maybeLintEmission(sem, algo);
     return sem;
+}
+
+std::shared_ptr<const KernelTrace>
+emitIndexTrace(Algo algo, const DatasetIndex &idx, KernelVariant variant,
+               const DatapathConfig &dp,
+               const std::vector<std::uint32_t> &query_ids,
+               std::size_t pool_size, const ServeKnobs &knobs)
+{
+    return std::make_shared<const KernelTrace>(lowerTrace(
+        emitIndexSem(algo, idx, query_ids, pool_size, knobs),
+        loweringFor(variant, dp)));
+}
+
+SemKernelTrace
+emitSemantic(Algo algo, DatasetId id, const RunnerOptions &opts)
+{
+    // The dataset's generated query set is its serving pool of that
+    // size; emit all of it, in order.
+    const unsigned n = algo == Algo::Ggnn    ? opts.ggnnQueries
+                       : algo == Algo::Btree ? opts.keyQueries
+                                             : opts.pointQueries;
+    std::vector<std::uint32_t> ids(n);
+    std::iota(ids.begin(), ids.end(), 0u);
+    return emitIndexSem(algo, datasetIndex(id), ids, n);
 }
 
 namespace
@@ -734,68 +764,8 @@ emitBatchTrace(Algo algo, DatasetId dataset, KernelVariant variant,
                const std::vector<std::uint32_t> &query_ids,
                std::size_t pool_size, const ServeKnobs &knobs)
 {
-    hsu_assert(!query_ids.empty(), "empty serve batch");
-    const ServePool &pool = servePool(dataset, pool_size);
-
-    auto gather_points = [&]() {
-        PointSet batch(pool.points.dim());
-        batch.reserve(query_ids.size());
-        for (const std::uint32_t q : query_ids) {
-            hsu_assert(q < pool.points.size(),
-                       "serve query id out of pool: ", q);
-            batch.add(pool.points[q]);
-        }
-        return batch;
-    };
-
-    // Emit the batch's semantic trace (timed as the Emit phase), then
-    // lower it for the requested variant — the same two-point pipeline
-    // the offline benches use, instead of the legacy kernel.run()
-    // wrapper. The traces are bit-identical (run() is documented as
-    // emit() + lowerTrace()).
-    SemKernelTrace sem = [&]() -> SemKernelTrace {
-        const ScopedPhaseTimer timer(PipelinePhase::Emit);
-        switch (algo) {
-          case Algo::Ggnn: {
-            const auto &a = ggnnAssets(dataset);
-            // Default-quality batches reuse the cached kernel (its
-            // address layouts are identical to a freshly constructed
-            // one — allocation is deterministic per kernel); degraded
-            // batches instantiate one with the shrunk knobs, which is
-            // cheap (address layouts only).
-            if (knobs == ServeKnobs{})
-                return a.kernel->emit(gather_points()).sem;
-            GgnnConfig cfg;
-            cfg.ef = knobs.ggnnEf;
-            cfg.k = knobs.ggnnK;
-            const GgnnKernel kernel(*a.graph, cfg);
-            return kernel.emit(gather_points()).sem;
-          }
-          case Algo::Flann: {
-            const auto &a = pointAssets(dataset);
-            return a.flannKernel->emit(gather_points()).sem;
-          }
-          case Algo::Bvhnn: {
-            const auto &a = pointAssets(dataset);
-            return a.bvhKernel->emit(gather_points()).sem;
-          }
-          case Algo::Btree: {
-            const auto &a = keyAssets(dataset);
-            std::vector<std::uint32_t> batch;
-            batch.reserve(query_ids.size());
-            for (const std::uint32_t q : query_ids) {
-                hsu_assert(q < pool.keys.size(),
-                           "serve query id out of pool: ", q);
-                batch.push_back(pool.keys[q]);
-            }
-            return a.kernel->emit(batch).sem;
-          }
-        }
-        hsu_panic("unknown algo");
-    }();
-    maybeLintEmission(sem, algo);
-    return std::make_shared<const KernelTrace>(
-        lowerTrace(sem, loweringFor(variant, dp)));
+    return emitIndexTrace(algo, datasetIndex(dataset), variant, dp,
+                          query_ids, pool_size, knobs);
 }
 
 RunResult

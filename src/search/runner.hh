@@ -3,6 +3,13 @@
  * Experiment glue: dataset -> index -> kernel -> baseline + HSU
  * simulations. Every bench binary drives its figure through these
  * helpers; indexes are memoized per dataset so sweeps don't rebuild.
+ *
+ * One builder (buildDatasetIndex) makes every index of a dataset kind
+ * over a slice of the dataset's element ids, and one function
+ * (emitIndexSem) emits every kernel trace from such an index. The
+ * whole dataset is the 1-shard slice (datasetIndex); the sharded
+ * serving layer (shard/shard_index) builds the other slices through
+ * the same builder.
  */
 
 #ifndef HSU_SEARCH_RUNNER_HH
@@ -16,6 +23,9 @@
 #include <vector>
 
 #include "common/stats.hh"
+#include "search/btree_kernel.hh"
+#include "search/bvhnn.hh"
+#include "search/flann.hh"
 #include "search/ggnn.hh"
 #include "sim/config.hh"
 #include "sim/gpu.hh"
@@ -95,7 +105,9 @@ WorkloadResult runWorkload(Algo algo, DatasetId dataset,
 
 /**
  * Emit the semantic (pre-lowering) trace of one (algorithm, dataset)
- * experiment — the IR every lowering variant of the workload shares.
+ * experiment — the IR every lowering variant of the workload shares:
+ * the first opts.*Queries queries of the serving pool of that size
+ * (the dataset's generated query set) against datasetIndex().
  * Always performs the (expensive) functional kernel run; most callers
  * want emitSemanticShared() instead, which memoizes the result.
  */
@@ -191,7 +203,7 @@ struct SimJobResult
 /**
  * Run independent simulation jobs across a worker pool and return
  * their results in submission order. Results are bit-identical to
- * running each job serially: index assets are built once per dataset
+ * running each job serially: indexes are built once per dataset
  * under a lock, query generation is a pure function of the dataset
  * seed, and each simulation owns its StatGroup.
  *
@@ -229,19 +241,108 @@ struct ServeKnobs
 };
 
 /**
- * Emit the trace of one dynamic batch for the serving subsystem.
+ * Which slice of a dataset's elements an index covers: shard @c shard
+ * of a @c numShards-way split under partition policy @c policy (the
+ * value of shard::PartitionPolicy; search sits below the shard layer).
+ * A 1-way split is the whole dataset, whatever the policy.
+ */
+struct DatasetSlice
+{
+    unsigned policy = 0;
+    unsigned numShards = 1;
+    unsigned shard = 0;
+};
+
+/**
+ * Every index and kernel of one dataset kind over one slice of the
+ * dataset's elements. All families of the kind are built together:
+ *  - HighDim: HNSW graph + GGNN kernel;
+ *  - Point3d: LBVH + BVH-NN kernel and k-d tree (leaf size 16) + FLANN
+ *    kernel. The BVH radius is the full dataset's (pickRadius), so
+ *    the union of the slices' radius answers is the full answer;
+ *  - Keys: B+tree over (key, rank) pairs, ranks being ids in the full
+ *    sorted key set, so a slice's lookups return the full tree's
+ *    values.
+ * Kernels hold references into the structures and the points, so an
+ * index is built in place (buildDatasetIndex) and never moves.
+ */
+struct DatasetIndex
+{
+    DatasetId dataset{};
+    /** Global ids of the slice's elements in local order (ascending);
+     *  empty for the whole dataset, whose local ids are global. */
+    std::vector<std::uint32_t> ids;
+    PointSet points; //!< HighDim / Point3d: the slice's points
+
+    std::unique_ptr<HnswGraph> graph;
+    std::unique_ptr<GgnnKernel> ggnn;
+
+    float radius = 0.0f; //!< full-dataset BVH-NN search radius
+    std::unique_ptr<Lbvh> bvh;
+    std::unique_ptr<BvhnnKernel> bvhnn;
+    std::unique_ptr<KdTree> kdtree;
+    std::unique_ptr<FlannKernel> flann;
+
+    std::unique_ptr<BTree> btree;
+    std::unique_ptr<BtreeKernel> btreeKernel;
+
+    /** Global id of local element @p local. */
+    std::uint32_t
+    globalId(std::uint32_t local) const
+    {
+        return ids.empty() ? local : ids[local];
+    }
+};
+
+/**
+ * Build every index of @p dataset's kind over the elements @p ids
+ * (global ids, ascending; empty means the whole dataset, which then
+ * owns the points it generates) into @p idx. Each structure goes
+ * through the HSU_INDEX_CACHE disk cache under indexCacheStem(info,
+ * @p slice, ...). A pure function of its arguments.
+ */
+void buildDatasetIndex(DatasetIndex &idx, DatasetId dataset,
+                       const DatasetSlice &slice,
+                       std::vector<std::uint32_t> ids);
+
+/**
+ * The whole-dataset index of @p dataset: built once per process on
+ * first use (from any thread) and shared by every later caller.
+ */
+const DatasetIndex &datasetIndex(DatasetId dataset);
+
+/**
+ * The one emission path: the semantic trace of queries @p query_ids of
+ * the serving pool of @p pool_size queries (serveQueryPoints /
+ * serveQueryKeys) against @p idx, emitted in @p query_ids order and
+ * timed as the Emit phase. GGNN runs with @p knobs (the index's own
+ * kernel at the default knobs); the other families have no knobs.
+ * Debug and HSU_AUDIT builds lint the trace before returning it.
+ */
+SemKernelTrace emitIndexSem(Algo algo, const DatasetIndex &idx,
+                            const std::vector<std::uint32_t> &query_ids,
+                            std::size_t pool_size,
+                            const ServeKnobs &knobs = ServeKnobs{});
+
+/** emitIndexSem(), lowered for @p variant on datapath @p dp. */
+std::shared_ptr<const KernelTrace>
+emitIndexTrace(Algo algo, const DatasetIndex &idx, KernelVariant variant,
+               const DatapathConfig &dp,
+               const std::vector<std::uint32_t> &query_ids,
+               std::size_t pool_size, const ServeKnobs &knobs);
+
+/**
+ * Emit the trace of one dynamic batch for the serving subsystem:
+ * emitIndexTrace() against datasetIndex(@p dataset).
  *
  * Requests reference queries by id into a deterministic per-dataset
  * serving pool of @p pool_size queries (generated once and memoized, a
  * pure function of the dataset seed). The batch runs through the same
  * kernel emitters as the offline benches — one warp per GGNN query, 32
  * point/key queries per warp — so batch cost is exactly what the
- * closed-loop experiments measure at that batch size.
- *
- * The batch goes through the same emit + lowerTrace() split as the
- * offline benches (the legacy kernel.run(variant) wrapper is gone from
- * this path) and comes back as an immutable shared trace that can be
- * handed to simulateKernel() without copying.
+ * closed-loop experiments measure at that batch size. It comes back
+ * as an immutable shared trace that can be handed to simulateKernel()
+ * without copying.
  *
  * Ordering contract: queries are emitted in exactly the order of
  * @p query_ids — lane/warp assignment follows position, not id. The
@@ -300,11 +401,15 @@ std::string workloadLabel(Algo algo, const DatasetInfo &info);
  * File stem under which the HSU_INDEX_CACHE disk cache keeps one built
  * index: "<paperName>-<kind>-<hash>". The 16-hex-digit hash covers a
  * cache format version, the dataset's generator seed, size and
- * dimension, and @p builder, the parameters the index's builder is
- * called with, so an index built from any other inputs has another
- * name and is never loaded in place of this one.
+ * dimension, the @p slice of the dataset the index covers (policy,
+ * shard count and shard, all omitted for the 1-shard slice, which is
+ * the whole dataset) and @p builder, the parameters the index's
+ * builder is called with, so an index built from any other inputs has
+ * another name and is never loaded in place of this one.
  */
-std::string indexCacheStem(const DatasetInfo &info, const std::string &kind,
+std::string indexCacheStem(const DatasetInfo &info,
+                           const DatasetSlice &slice,
+                           const std::string &kind,
                            std::initializer_list<std::uint64_t> builder);
 
 /** Pick a BVH-NN/search radius for a 3-D dataset: twice the median

@@ -46,7 +46,9 @@ AnswerCache::keyFor(std::uint32_t query_id) const
 {
     if (exactOnly_)
         return query_id;
-    const unsigned shift = std::min(63u, 3u * cfg_.toleranceLevels);
+    // Widen before multiplying: 3 x levels wraps in 32 bits.
+    const std::uint64_t shift =
+        std::min<std::uint64_t>(63, 3 * std::uint64_t{cfg_.toleranceLevels});
     return (*codes_)[query_id] >> shift;
 }
 

@@ -6,17 +6,12 @@
 namespace hsu::serve
 {
 
-QueryPipeline::QueryPipeline(const PipelineConfig &cfg, Algo algo,
+QueryPipeline::QueryPipeline(const PipelineConfig &cfg,
                              DatasetId dataset, std::size_t pool_size,
                              ScheduleRecorder recorder)
     : cfg_(cfg), dataset_(dataset), poolSize_(pool_size),
-      rec_(recorder), batcher_(cfg.batch),
-      cache_(cfg.cache, algo, dataset, pool_size, recorder)
+      rec_(recorder), batcher_(cfg.batch)
 {
-    if (cfg_.degrade.shedWater == 0)
-        hsu_fatal("shedWater 0 would shed every request");
-    if (pool_size == 0)
-        hsu_fatal("pipeline needs a non-empty query pool");
     rec_.record(0, ScheduleEventKind::PipelineConfig,
                 cfg_.degrade.highWater, cfg_.degrade.shedWater,
                 cfg_.batch.maxBatch);
@@ -28,13 +23,6 @@ QueryPipeline::admit(const Request &req)
     // Queue depth sampled once: both the shed decision and the
     // schedule log's watermark evidence (SV004) use this value.
     const std::uint64_t depth = batcher_.pending();
-    if (cache_.lookup(req.queryId, req.arrivalCycle)) {
-        stats_.admitted += 1;
-        stats_.cacheHits += 1;
-        rec_.record(req.arrivalCycle, ScheduleEventKind::Admit, req.id,
-                    req.queryId, kAdmitCacheHit | (depth << 2));
-        return Admission::CacheHit;
-    }
     if (depth >= cfg_.degrade.shedWater) {
         stats_.shedAdmission += 1;
         rec_.record(req.arrivalCycle, ScheduleEventKind::Admit, req.id,
@@ -101,16 +89,6 @@ QueryPipeline::formBatch(Cycle now, Histogram &queue_wait,
     }
     orderBatch(cfg_.policy, dataset_, poolSize_, formed.requests);
     return formed;
-}
-
-void
-QueryPipeline::recordServed(const std::vector<Request> &batch,
-                            bool degraded, Cycle now)
-{
-    if (degraded && !cfg_.cache.cacheDegraded)
-        return;
-    for (const Request &r : batch)
-        cache_.insert(r.queryId, now);
 }
 
 BatchExecutor::BatchExecutor(const GpuConfig &gpu,

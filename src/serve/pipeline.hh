@@ -1,22 +1,21 @@
 /**
  * @file
- * The query-scheduling pipeline shared by every serving frontend.
+ * The query-scheduling pieces every serving lane is built from.
  *
- * serve::Server and each shard::ClusterServer lane used to carry their
- * own copy of the same wiring — admission shedding, the FIFO batcher,
- * degradation watermarks, deadline expiry, dispatch bookkeeping. This
- * layer factors that wiring into two composable pieces:
+ * The serving event loop (serve/loop) runs lanes of two composable
+ * pieces:
  *
- *  - QueryPipeline: the scheduling stages between "request arrives"
- *    and "batch is ready to launch":
+ *  - QueryPipeline: the scheduling stages between "sub-query reaches
+ *    its lane" and "batch is ready to launch":
  *
- *        admit:     answer cache probe -> shed check -> FIFO queue
+ *        admit:     shed check -> FIFO queue
  *        formBatch: deadline expiry -> degradation decision
  *                   -> batch-ordering policy (serve/policy)
  *
  *    All admission/shed/degrade/expiry accounting lives here
  *    (PipelineStats); latency/completion accounting stays with the
- *    caller, who owns the simulated clock.
+ *    loop, which owns the simulated clock. The answer cache is not a
+ *    stage: it sits in front of routing, at the loop's router.
  *
  *  - BatchExecutor: one simulated GPU instance. dispatch() submits the
  *    batch's kernel simulation to a worker pool (a pure function of
@@ -25,10 +24,9 @@
  *    memory-system counters (SimTotals) the serving reports surface
  *    (L1 hit rate, RT-unit/warp-buffer residency).
  *
- * Determinism contract: with the Fifo policy and a disabled cache the
- * composed pipeline reproduces the pre-refactor event loops
- * bit-identically (tests/serve/test_pipeline.cc pins golden reports).
- * Histogram fills (double sums, order-sensitive) go through
+ * Determinism contract: golden reports (tests/serve/
+ * test_serve_pipeline.cc) pin the composed pipeline through both
+ * frontends. Histogram fills (double sums, order-sensitive) go through
  * caller-owned sinks in FIFO pop order, BEFORE any policy reordering.
  *
  * Auditing: both pieces optionally record their decisions into a
@@ -79,27 +77,26 @@ struct PipelineConfig
     /** Batch-ordering policy applied to each formed batch. */
     BatchPolicyKind policy = BatchPolicyKind::Fifo;
     DegradePolicy degrade;
-    /** Answer cache in front of the queue (capacity 0 = off). */
+    /** Answer cache in front of routing (capacity 0 = off); the
+     *  serving loop's router owns it, lanes have none. */
     AnswerCacheConfig cache;
 };
 
 /** Scheduling-side counters (u64 sums — order-independent). */
 struct PipelineStats
 {
-    std::uint64_t admitted = 0;      //!< queued or answered by cache
+    std::uint64_t admitted = 0;      //!< queued
     std::uint64_t shedAdmission = 0; //!< dropped at arrival (queue full)
     std::uint64_t shedExpired = 0;   //!< dropped at batch formation
     std::uint64_t degraded = 0;      //!< served with degraded knobs
     std::uint64_t batches = 0;       //!< kernel launches formed
-    std::uint64_t cacheHits = 0;     //!< answered without a launch
 };
 
 /** What admit() did with one request. */
 enum class Admission : std::uint8_t
 {
-    Queued,   //!< entered the FIFO queue
-    CacheHit, //!< answered by the cache; never queued
-    Shed,     //!< dropped (queue at shedWater)
+    Queued, //!< entered the FIFO queue
+    Shed,   //!< dropped (queue at shedWater)
 };
 
 /** One batch leaving the pipeline. */
@@ -124,14 +121,13 @@ struct FormedBatch
 class QueryPipeline
 {
   public:
-    QueryPipeline(const PipelineConfig &cfg, Algo algo,
-                  DatasetId dataset, std::size_t pool_size,
-                  ScheduleRecorder recorder = {});
+    /** @p dataset and @p pool_size key the ordering policy's
+     *  coherence keys (serve/policy). */
+    QueryPipeline(const PipelineConfig &cfg, DatasetId dataset,
+                  std::size_t pool_size, ScheduleRecorder recorder = {});
 
     /**
-     * Admit one request: cache probe first (a hit completes at
-     * arrival + cache.hitLatencyCycles and never occupies a queue
-     * slot), then the shedWater check, then the FIFO queue.
+     * Admit one request: the shedWater check, then the FIFO queue.
      * @pre arrivals are nondecreasing.
      */
     Admission admit(const Request &req);
@@ -156,15 +152,7 @@ class QueryPipeline
     FormedBatch formBatch(Cycle now, Histogram &queue_wait,
                           Histogram &batch_size);
 
-    /** Completion hook: fill the answer cache from a served batch
-     *  (degraded batches only when cache.cacheDegraded). @p now is the
-     *  completion cycle (stamps the schedule log's insert events). */
-    void recordServed(const std::vector<Request> &batch, bool degraded,
-                      Cycle now = 0);
-
     const PipelineStats &stats() const { return stats_; }
-    const AnswerCache &cache() const { return cache_; }
-    const PipelineConfig &config() const { return cfg_; }
 
   private:
     PipelineConfig cfg_;
@@ -172,7 +160,6 @@ class QueryPipeline
     std::size_t poolSize_;
     ScheduleRecorder rec_;
     DynamicBatcher batcher_;
-    AnswerCache cache_;
     PipelineStats stats_;
 };
 
@@ -198,8 +185,8 @@ struct SimTotals
     double rtuBusyCycles = 0;
 };
 
-/** Emit the kernel trace of one batch — the only per-frontend piece
- *  of the execution path (Server binds emitBatchTrace, cluster lanes
+/** Emit the kernel trace of one batch — the only per-shard piece of
+ *  the execution path (Server binds emitBatchTrace, cluster lanes
  *  bind emitShardBatchTrace with their ShardKey). Must be a pure,
  *  thread-safe function of its arguments. */
 using BatchTraceEmitter =

@@ -1,9 +1,6 @@
 #include "serve/server.hh"
 
-#include <algorithm>
-
-#include "common/logging.hh"
-#include "common/threadpool.hh"
+#include "serve/loop.hh"
 
 namespace hsu::serve
 {
@@ -11,166 +8,51 @@ namespace hsu::serve
 Server::Server(Algo algo, DatasetId dataset, const ServerConfig &cfg)
     : algo_(algo), dataset_(dataset), cfg_(cfg)
 {
-    if (cfg_.numInstances == 0)
-        hsu_fatal("server needs at least one GPU instance");
-    if (cfg_.queryPoolSize == 0)
-        hsu_fatal("server needs a non-empty query pool");
-    if (cfg_.pipeline.degrade.shedWater == 0)
-        hsu_fatal("shedWater 0 would shed every request");
+    requireNonZero({{"ServerConfig.numInstances", cfg_.numInstances},
+                    {"ServerConfig.queryPoolSize", cfg_.queryPoolSize},
+                    {"ServerConfig.pipeline.degrade.shedWater",
+                     cfg_.pipeline.degrade.shedWater}});
 }
 
 ServeReport
 Server::run(const std::vector<Request> &requests)
 {
+    // One lane behind a router that sends it every request, over a
+    // zero-cost link with no merge.
+    LoopConfig loop;
+    loop.lanes = cfg_;
     const KernelVariant variant = cfg_.gpu.rtUnitEnabled
                                       ? KernelVariant::Hsu
                                       : KernelVariant::Baseline;
-    ThreadPool pool(cfg_.jobs);
-    // Single-lane server: every schedule event records as lane 0, all
-    // from this event-loop thread (pool tasks never record).
-    const ScheduleRecorder rec(cfg_.scheduleLog, 0);
-    QueryPipeline pipeline(cfg_.pipeline, algo_, dataset_,
-                           cfg_.queryPoolSize, rec);
-
-    // Every instance shares one emitter binding this workload's batch
-    // traces — a pure, thread-safe function of (ids, knobs).
-    const GpuConfig gpu = cfg_.gpu;
-    const Algo algo = algo_;
-    const DatasetId dataset = dataset_;
-    const std::uint32_t pool_size = cfg_.queryPoolSize;
-    const BatchTraceEmitter emitter =
-        [gpu, algo, dataset, variant, pool_size](
+    loop.shardEmitters.push_back(
+        [algo = algo_, dataset = dataset_, variant, dp = cfg_.gpu.datapath,
+         pool_size = cfg_.queryPoolSize](
             const std::vector<std::uint32_t> &ids,
             const ServeKnobs &knobs) {
-            return emitBatchTrace(algo, dataset, variant, gpu.datapath,
-                                  ids, pool_size, knobs);
-        };
-    std::vector<BatchExecutor> instances;
-    instances.reserve(cfg_.numInstances);
-    for (unsigned i = 0; i < cfg_.numInstances; ++i) {
-        instances.emplace_back(cfg_.gpu, cfg_.launchOverheadCycles,
-                               cfg_.pipeline.degrade.degradedKnobs,
-                               emitter, rec);
-    }
+            return emitBatchTrace(algo, dataset, variant, dp, ids,
+                                  pool_size, knobs);
+        });
+    ClusterReport r = ServeLoop(algo_, dataset_, loop, requests).run();
 
+    ShardReport &lane = r.shards[0];
     ServeReport report;
-    report.offered = requests.size();
-    SimTotals totals;
-
-    std::size_t nextArrival = 0;
-    Cycle now = 0;
-
-    auto any_busy = [&] {
-        return std::any_of(
-            instances.begin(), instances.end(),
-            [](const BatchExecutor &i) { return i.busy(); });
-    };
-    auto any_idle = [&] {
-        return std::any_of(
-            instances.begin(), instances.end(),
-            [](const BatchExecutor &i) { return !i.busy(); });
-    };
-
-    // Fill every idle instance with a ready batch. All sims dispatched
-    // here were submitted before anything blocks on them, so
-    // concurrently-busy instances really simulate concurrently.
-    auto dispatch_ready = [&] {
-        for (BatchExecutor &inst : instances) {
-            if (inst.busy())
-                continue;
-            if (!pipeline.batchReady(now))
-                break;
-            FormedBatch formed = pipeline.formBatch(
-                now, report.queueWaitCycles, report.batchSize);
-            if (formed.requests.empty())
-                continue; // everything pending had expired
-            inst.dispatch(pool, now, std::move(formed));
-        }
-    };
-
-    // Resolve in-flight completion times, in instance order: blocking
-    // on the first future lets every other in-flight simulation keep
-    // running in the pool.
-    auto resolve_busy = [&] {
-        for (BatchExecutor &inst : instances)
-            inst.resolve(totals);
-    };
-
-    while (nextArrival < requests.size() || pipeline.pending() > 0 ||
-           any_busy()) {
-        dispatch_ready();
-        resolve_busy();
-
-        // Batch formation may have drained the queue purely through
-        // deadline expiry; nothing is left to schedule then.
-        if (nextArrival >= requests.size() &&
-            pipeline.pending() == 0 && !any_busy()) {
-            break;
-        }
-
-        // Next event: an arrival, a batch completion, or the queue's
-        // age trigger (only actionable while an instance sits idle).
-        Cycle next = kNeverCycle;
-        if (nextArrival < requests.size())
-            next = std::min(next, requests[nextArrival].arrivalCycle);
-        for (const BatchExecutor &inst : instances) {
-            if (inst.busy())
-                next = std::min(next, inst.readyCycle());
-        }
-        if (any_idle())
-            next = std::min(next, pipeline.nextForceCycle());
-        hsu_assert(next != kNeverCycle, "server wedged at cycle ", now);
-        now = std::max(now, next);
-
-        // Completions first (frees instances and bounds the queue),
-        // in instance order for a deterministic histogram fill.
-        for (BatchExecutor &inst : instances) {
-            if (!inst.busy() || inst.readyCycle() > now)
-                continue;
-            for (const Request &r : inst.batch()) {
-                report.latencyCycles.add(
-                    static_cast<double>(inst.readyCycle() -
-                                        r.arrivalCycle));
-            }
-            report.completed += inst.batch().size();
-            report.lastCompletionCycle =
-                std::max(report.lastCompletionCycle, inst.readyCycle());
-            pipeline.recordServed(inst.batch(), inst.degraded(),
-                                  inst.readyCycle());
-            inst.finish();
-        }
-
-        // Then admissions up to the current cycle.
-        while (nextArrival < requests.size() &&
-               requests[nextArrival].arrivalCycle <= now) {
-            const Request &req = requests[nextArrival++];
-            hsu_assert(req.queryId < cfg_.queryPoolSize,
-                       "request query id outside the serving pool");
-            if (pipeline.admit(req) == Admission::CacheHit) {
-                const Cycle done =
-                    req.arrivalCycle +
-                    cfg_.pipeline.cache.hitLatencyCycles;
-                report.completed += 1;
-                report.latencyCycles.add(
-                    static_cast<double>(done - req.arrivalCycle));
-                report.lastCompletionCycle =
-                    std::max(report.lastCompletionCycle, done);
-            }
-        }
-    }
-
-    const PipelineStats &sched = pipeline.stats();
-    report.admitted = sched.admitted;
-    report.shedAdmission = sched.shedAdmission;
-    report.shedExpired = sched.shedExpired;
-    report.degraded = sched.degraded;
-    report.batches = sched.batches;
-    report.cacheHits = sched.cacheHits;
-    report.kernelCycles = totals.kernelCycles;
-    report.smCycles = totals.smCycles;
-    report.l1Accesses = totals.l1Accesses;
-    report.l1Misses = totals.l1Misses;
-    report.rtuBusyCycles = totals.rtuBusyCycles;
+    report.offered = r.offered;
+    report.admitted = r.offered - lane.shedAdmission;
+    report.completed = r.completed;
+    report.shedAdmission = lane.shedAdmission;
+    report.shedExpired = lane.shedExpired;
+    report.degraded = lane.degraded;
+    report.batches = lane.batches;
+    report.cacheHits = r.cacheHits;
+    report.lastCompletionCycle = r.lastCompletionCycle;
+    report.latencyCycles = std::move(r.latencyCycles);
+    report.queueWaitCycles = std::move(lane.queueWaitCycles);
+    report.batchSize = std::move(r.batchSize);
+    report.kernelCycles = r.kernelCycles;
+    report.smCycles = r.smCycles;
+    report.l1Accesses = r.l1Accesses;
+    report.l1Misses = r.l1Misses;
+    report.rtuBusyCycles = r.rtuBusyCycles;
     return report;
 }
 

@@ -2,10 +2,10 @@
  * @file
  * Simulated-time online query server over the GPU timing model.
  *
- * An open-loop request stream (serve/arrivals) feeds a query pipeline
- * (serve/pipeline: answer cache -> admission -> FIFO batcher ->
- * degradation -> batch-ordering policy); formed batches launch on one
- * or more simulated GPU instances (serve/pipeline BatchExecutor).
+ * An open-loop request stream (serve/arrivals) meets the answer cache,
+ * then one query pipeline (serve/pipeline: admission -> FIFO batcher
+ * -> degradation -> batch-ordering policy); formed batches launch on
+ * one or more simulated GPU instances (serve/pipeline BatchExecutor).
  * Everything advances on one unified simulated clock: a request's
  * latency is
  *
@@ -25,8 +25,10 @@
  * shed). Requests whose deadline passed while queued are dropped at
  * batch formation.
  *
- * Execution: the event loop is sequential in simulated time, but the
- * batch simulations themselves fan out across an hsu::ThreadPool —
+ * Execution: a Server is the serving event loop (serve/loop) with one
+ * lane — numInstances executors behind one queue — and a router that
+ * sends every request to it. The loop is sequential in simulated
+ * time, but the batch simulations fan out across an hsu::ThreadPool —
  * every instance dispatched at the current event executes its kernel
  * simulation concurrently. Service times are pure functions of batch
  * contents, so results are bit-identical for any HSU_JOBS value.

@@ -259,14 +259,14 @@ answerSharded(Algo algo, DatasetId dataset, PartitionPolicy policy,
         for (unsigned s = 0; s < part.numShards(); ++s) {
             if (routed[s].queryIds.empty())
                 continue;
-            const ShardIndex &idx =
+            const DatasetIndex &idx =
                 shardIndex(dataset, policy, num_shards, s);
             const FlannEmit emit = idx.flann->emit(
                 gatherPoints(pool, routed[s].queryIds));
             for (std::size_t i = 0; i < emit.results.size(); ++i) {
                 const Neighbor local = emit.results[i];
                 partials[routed[s].slots[i]].emplace_back(
-                    Neighbor{idx.slice.ids[local.index], local.dist2});
+                    Neighbor{idx.globalId(local.index), local.dist2});
             }
         }
         out.nearest.reserve(query_ids.size());
@@ -281,16 +281,15 @@ answerSharded(Algo algo, DatasetId dataset, PartitionPolicy policy,
         for (unsigned s = 0; s < part.numShards(); ++s) {
             if (routed[s].queryIds.empty())
                 continue;
-            const ShardIndex &idx =
+            const DatasetIndex &idx =
                 shardIndex(dataset, policy, num_shards, s);
             const BvhnnEmit emit = idx.bvhnn->emit(
                 gatherPoints(pool, routed[s].queryIds));
             for (std::size_t i = 0; i < emit.results.size(); ++i) {
                 RadiusHit hit = emit.results[i];
                 if (hit.index >= 0) {
-                    hit.index = static_cast<std::int32_t>(
-                        idx.slice.ids[static_cast<std::uint32_t>(
-                            hit.index)]);
+                    hit.index = static_cast<std::int32_t>(idx.globalId(
+                        static_cast<std::uint32_t>(hit.index)));
                 }
                 partials[routed[s].slots[i]].push_back(hit);
             }
@@ -309,7 +308,7 @@ answerSharded(Algo algo, DatasetId dataset, PartitionPolicy policy,
         for (unsigned s = 0; s < part.numShards(); ++s) {
             if (routed[s].queryIds.empty())
                 continue;
-            const ShardIndex &idx =
+            const DatasetIndex &idx =
                 shardIndex(dataset, policy, num_shards, s);
             std::vector<std::uint32_t> batch;
             batch.reserve(routed[s].queryIds.size());

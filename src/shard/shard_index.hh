@@ -4,23 +4,14 @@
  *
  * Each simulated GPU in a cluster owns one slice of the base data
  * (shard/partition) and serves queries from an index built over only
- * that slice. This layer builds and memoizes those sub-indexes through
- * the same build-once discipline (common/memo) as the full-dataset
- * assets in search/runner, keyed by (dataset, policy, shard count,
- * shard), so replicas of a shard — and the HSU/Baseline sides of a
- * sweep — share one build.
- *
- * Semantics per family:
- *  - GGNN:   hierarchical graph over the shard's points.
- *  - FLANN:  k-d tree over the shard's points (leaf size 16, matching
- *            the full-index build in search/runner).
- *  - BVH-NN: LBVH over the shard's points with the *full-dataset*
- *            search radius, so the union of per-shard answers equals
- *            the unsharded answer set.
- *  - B+tree: sub-tree over the shard's (key, global rank) pairs; the
- *            stored values are ranks in the full sorted key set, so a
- *            shard lookup returns the same value the unsharded tree
- *            would.
+ * that slice. The indexes come from search/runner's one builder
+ * (buildDatasetIndex, which builds every family of the dataset's kind
+ * and documents their per-family semantics), memoized through the
+ * build-once discipline (common/memo) keyed by (dataset, policy, shard
+ * count, shard), so replicas of a shard — and the HSU/Baseline sides
+ * of a sweep — share one build. With one shard, either policy keeps
+ * every id in ascending order: the 1-shard index is the whole-dataset
+ * index (datasetIndex) itself, never a copy.
  *
  * Everything here is a pure function of its key: builds are
  * bit-identical across runs and thread counts.
@@ -33,10 +24,6 @@
 #include <memory>
 #include <vector>
 
-#include "search/btree_kernel.hh"
-#include "search/bvhnn.hh"
-#include "search/flann.hh"
-#include "search/ggnn.hh"
 #include "search/runner.hh"
 #include "shard/partition.hh"
 
@@ -50,43 +37,6 @@ struct ShardKey
     PartitionPolicy policy = PartitionPolicy::Spatial;
     unsigned numShards = 1;
     unsigned shard = 0;
-
-    bool
-    operator<(const ShardKey &o) const
-    {
-        if (dataset != o.dataset)
-            return dataset < o.dataset;
-        if (policy != o.policy)
-            return policy < o.policy;
-        if (numShards != o.numShards)
-            return numShards < o.numShards;
-        return shard < o.shard;
-    }
-};
-
-/** One shard's slice plus every index built over it. Only the members
- *  of the family being served are populated (see the accessors). */
-struct ShardIndex
-{
-    ShardKey key;
-    /** The shard's slice of the partitioning (ids are global). */
-    ShardSlice slice;
-
-    // GGNN family (HighDim datasets).
-    PointSet points; //!< shard-local points, in slice.ids order
-    std::unique_ptr<HnswGraph> graph;
-    std::unique_ptr<GgnnKernel> ggnn;
-
-    // FLANN / BVH-NN family (Point3d datasets; shares `points`).
-    float radius = 0.0f; //!< full-dataset radius (pickRadius)
-    std::unique_ptr<Lbvh> bvh;
-    std::unique_ptr<BvhnnKernel> bvhnn;
-    std::unique_ptr<KdTree> kdtree;
-    std::unique_ptr<FlannKernel> flann;
-
-    // B+tree family (Keys datasets).
-    std::unique_ptr<BTree> btree;
-    std::unique_ptr<BtreeKernel> btreeKernel;
 };
 
 /** The memoized partitioning of (dataset, policy, num_shards). */
@@ -95,16 +45,16 @@ const Partitioning &cachedPartitioning(DatasetId dataset,
                                        unsigned num_shards);
 
 /**
- * The memoized sub-index of one shard, built on first use. Which
- * indexes are populated depends on the dataset kind (all families that
- * apply to the kind are built together, mirroring search/runner's
- * asset grouping).
+ * The memoized index of one shard, built on first use; which indexes
+ * it holds depends on the dataset kind (see DatasetIndex). With
+ * @p num_shards 1 this is datasetIndex(@p dataset), for either policy.
  */
-const ShardIndex &shardIndex(DatasetId dataset, PartitionPolicy policy,
-                             unsigned num_shards, unsigned shard);
+const DatasetIndex &shardIndex(DatasetId dataset, PartitionPolicy policy,
+                               unsigned num_shards, unsigned shard);
 
-/** The full-dataset BVH-NN search radius (memoized pickRadius), shared
- *  by every shard of @p dataset and by router-side pruning. */
+/** The full-dataset BVH-NN search radius (memoized pickRadius): the
+ *  radius every index of @p dataset is built with, and the one
+ *  router-side pruning and the answer oracle use. */
 float datasetRadius(DatasetId dataset);
 
 /**
@@ -130,22 +80,10 @@ std::vector<std::uint32_t> routeQuery(Algo algo,
                                       std::size_t pool_size);
 
 /**
- * Emit the semantic trace of one dynamic batch against one shard's
- * sub-index — the emission half of emitShardBatchTrace, exposed so
- * the trace linter (tools/trace_lint) can audit shard emissions in
- * release builds too. Pure function of its arguments.
- */
-SemKernelTrace
-emitShardBatchSem(Algo algo, const ShardKey &key,
-                  const std::vector<std::uint32_t> &query_ids,
-                  std::size_t pool_size,
-                  const ServeKnobs &knobs = ServeKnobs{});
-
-/**
- * Emit + lower the trace of one dynamic batch against one shard's
- * sub-index — the sharded counterpart of search/runner's
- * emitBatchTrace, same emit-once/lower-many pipeline and the same
- * serving query pool. Pure function of its arguments.
+ * The trace of one dynamic batch against one shard's index: the
+ * sharded counterpart of search/runner's emitBatchTrace, through the
+ * same emitIndexTrace and the same serving query pool. Pure function
+ * of its arguments.
  */
 std::shared_ptr<const KernelTrace>
 emitShardBatchTrace(Algo algo, const ShardKey &key,

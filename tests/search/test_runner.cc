@@ -38,29 +38,43 @@ tinyOptions()
 TEST(Runner, IndexCacheStemKeysEveryBuildInput)
 {
     const DatasetInfo &base = datasetInfo(DatasetId::Sift10k);
+    const DatasetSlice whole;
     const std::initializer_list<std::uint64_t> params = {16, 24, 32, 7};
-    const std::string ref = indexCacheStem(base, "hnsw", params);
-    EXPECT_EQ(indexCacheStem(base, "hnsw", params), ref);
+    const std::string ref = indexCacheStem(base, whole, "hnsw", params);
+    EXPECT_EQ(indexCacheStem(base, whole, "hnsw", params), ref);
     EXPECT_EQ(ref.rfind("sift10k-hnsw-", 0), 0u) << ref;
     EXPECT_EQ(ref.size(), std::string("sift10k-hnsw-").size() + 16);
+    // The 1-shard slice is the whole dataset under either policy.
+    EXPECT_EQ(indexCacheStem(base, DatasetSlice{1, 1, 0}, "hnsw", params),
+              ref);
 
     std::vector<std::string> changed;
     DatasetInfo d = base;
     d.seed += 1;
-    changed.push_back(indexCacheStem(d, "hnsw", params));
+    changed.push_back(indexCacheStem(d, whole, "hnsw", params));
     d = base;
     d.simPoints += 1;
-    changed.push_back(indexCacheStem(d, "hnsw", params));
+    changed.push_back(indexCacheStem(d, whole, "hnsw", params));
     d = base;
     d.dim += 1;
-    changed.push_back(indexCacheStem(d, "hnsw", params));
-    changed.push_back(indexCacheStem(base, "kdtree", params));
-    changed.push_back(indexCacheStem(base, "hnsw", {17, 24, 32, 7}));
-    changed.push_back(indexCacheStem(base, "hnsw", {16, 25, 32, 7}));
-    changed.push_back(indexCacheStem(base, "hnsw", {16, 24, 33, 7}));
-    changed.push_back(indexCacheStem(base, "hnsw", {16, 24, 32, 8}));
-    changed.push_back(indexCacheStem(base, "hnsw", {16, 24, 32}));
-    changed.push_back(indexCacheStem(base, "hnsw", {16, 24, 32, 7, 0}));
+    changed.push_back(indexCacheStem(d, whole, "hnsw", params));
+    changed.push_back(indexCacheStem(base, whole, "kdtree", params));
+    for (const std::initializer_list<std::uint64_t> other :
+         {std::initializer_list<std::uint64_t>{17, 24, 32, 7},
+          {16, 25, 32, 7},
+          {16, 24, 33, 7},
+          {16, 24, 32, 8},
+          {16, 24, 32},
+          {16, 24, 32, 7, 0}}) {
+        changed.push_back(indexCacheStem(base, whole, "hnsw", other));
+    }
+    // Slices differ by policy, shard count and shard.
+    for (const DatasetSlice slice :
+         {DatasetSlice{0, 2, 0}, DatasetSlice{1, 2, 0},
+          DatasetSlice{0, 2, 1}, DatasetSlice{0, 4, 0},
+          DatasetSlice{0, 4, 1}, DatasetSlice{1, 4, 3}}) {
+        changed.push_back(indexCacheStem(base, slice, "hnsw", params));
+    }
     for (const std::string &name : changed)
         EXPECT_NE(name, ref);
     std::sort(changed.begin(), changed.end());

@@ -77,6 +77,17 @@ TEST(AnswerCache, TolerantCollapsesMortonCells)
     cache.insert(0);
     EXPECT_TRUE(cache.lookup(63));
 
+    // So does any larger tolerance, including levels whose 3x
+    // overflows 32 bits (1431655766 x 3 wraps to a shift of 2).
+    for (const unsigned levels : {22u, 1'431'655'765u, 1'431'655'766u}) {
+        AnswerCacheConfig wide = cfg;
+        wide.toleranceLevels = levels;
+        AnswerCache all(wide, Algo::Bvhnn, DatasetId::Random10k, kPool);
+        all.insert(0);
+        for (std::uint32_t q = 1; q < kPool; ++q)
+            EXPECT_TRUE(all.lookup(q)) << levels << " levels, query " << q;
+    }
+
     // Zero tolerance keeps full Morton codes: two queries with
     // different codes never alias.
     const std::vector<std::uint64_t> &keys =

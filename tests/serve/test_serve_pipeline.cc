@@ -9,7 +9,10 @@
  * below were captured from the pre-refactor serve::Server and
  * shard::ClusterServer (hexfloat doubles pin the order-sensitive
  * histogram sums, not just the counters); any scheduling change that
- * shifts them is a regression, not noise.
+ * shifts them is a regression, not noise. Cases E and F (a cache and
+ * a stream the cluster router answers in part) were captured from the
+ * two separate event loops before Server became a one-lane setup of
+ * the cluster's loop (serve/loop).
  *
  * The Coherent policy's contracts are weaker by design — it reorders
  * WITHIN batches only, so batch membership, admission accounting, and
@@ -142,8 +145,9 @@ TEST(Pipeline, GoldenFifoDeadlineExpiryServer)
     EXPECT_EQ(r.batchSize.sum(), 0x1.8p+4);
 }
 
-// Case C: a 1x1 zero-link cluster runs the SAME pipeline composition
-// and must match both the golden numbers and the live server report.
+// Case C: a 1x1 zero-link cluster runs the SAME serving loop and must
+// match both the golden numbers and the live server report — on this
+// stream every request routes to the one shard (subqueries == 96).
 TEST(Pipeline, GoldenFifoOneByOneCluster)
 {
     const auto reqs =

@@ -61,6 +61,22 @@ expectSameReport(const ServeReport &a, const ServeReport &b)
     }
 }
 
+TEST(Server, ConfigCheckNamesTheBadField)
+{
+    ServerConfig cfg = smallConfig();
+    cfg.numInstances = 0;
+    EXPECT_DEATH(Server(Algo::Btree, DatasetId::BTree10k, cfg),
+                 "ServerConfig.numInstances = 0");
+    cfg = smallConfig();
+    cfg.queryPoolSize = 0;
+    EXPECT_DEATH(Server(Algo::Btree, DatasetId::BTree10k, cfg),
+                 "ServerConfig.queryPoolSize = 0");
+    cfg = smallConfig();
+    cfg.pipeline.degrade.shedWater = 0;
+    EXPECT_DEATH(Server(Algo::Btree, DatasetId::BTree10k, cfg),
+                 "ServerConfig.pipeline.degrade.shedWater = 0");
+}
+
 TEST(Server, RequestConservation)
 {
     const auto reqs =

@@ -1,11 +1,12 @@
 /**
  * @file
  * Cluster-server semantics: a 1x1 cluster with a zero-cost link
- * reproduces the single-instance server bit-for-bit, reports are
- * bit-identical across HSU_JOBS, request accounting
- * balances under overload and shedding, the link model shifts the
- * latency distribution, and the cluster-level queue-wait histogram is
- * the exact merge of the per-shard ones.
+ * reproduces the single-instance server bit-for-bit on a stream that
+ * routes every request to its one shard, reports are bit-identical
+ * across HSU_JOBS, request accounting balances under overload and
+ * shedding, the link model shifts the latency distribution, and the
+ * cluster-level queue-wait histogram is the exact merge of the
+ * per-shard ones.
  */
 
 #include <gtest/gtest.h>
@@ -85,8 +86,12 @@ expectSameReport(const ClusterReport &a, const ClusterReport &b)
 TEST(Cluster, OneByOneMatchesSingleServer)
 {
     // A 1-shard, 1-replica cluster with a zero-cost interconnect and
-    // zero merge cost is the single-instance server: same batches,
-    // same cycles, same histograms.
+    // zero merge cost is the single-instance server — same batches,
+    // same cycles, same histograms — as long as every request routes
+    // to the shard. The subqueries == offered check below is that
+    // precondition: a B+tree key outside the key range routes nowhere
+    // and is answered at the cluster's router, while the Server queues
+    // it (Pipeline.GoldenBtreeFullPoolServer has such a stream).
     const auto reqs =
         stream(Algo::Btree, DatasetId::BTree10k, 5.0e-5, 96);
 
@@ -126,6 +131,17 @@ TEST(Cluster, OneByOneMatchesSingleServer)
         EXPECT_DOUBLE_EQ(sharded.queueWaitCycles.percentile(p),
                          single.queueWaitCycles.percentile(p));
     }
+}
+
+TEST(Cluster, ConfigCheckNamesTheBadField)
+{
+    ClusterConfig cfg = smallCluster(2, 1);
+    cfg.replicasPerShard = 0;
+    EXPECT_DEATH(ClusterServer(Algo::Btree, DatasetId::BTree10k, cfg),
+                 "ClusterConfig.replicasPerShard = 0");
+    cfg = smallCluster(0, 1);
+    EXPECT_DEATH(ClusterServer(Algo::Btree, DatasetId::BTree10k, cfg),
+                 "ClusterConfig.numShards = 0");
 }
 
 TEST(Cluster, BitIdenticalAcrossJobs)

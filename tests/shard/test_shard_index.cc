@@ -6,13 +6,15 @@
  * workload emissions (emitSemantic), under both lowerings. The values
  * were captured before the full-dataset and shard index builders were
  * merged into one builder; a change to how any index is built, or to
- * which index a batch emits from, fails here.
+ * which index a batch emits from, fails here. The 1-shard index is
+ * the whole-dataset index itself.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <numeric>
+#include <thread>
 
 #include "shard/shard_index.hh"
 #include "sim/trace_stats.hh"
@@ -68,6 +70,61 @@ expectPin(const std::string &what, const Pin &got, const Pin &want)
                     static_cast<unsigned long long>(got.hsu),
                     what.c_str());
     }
+}
+
+TEST(ShardIndex, OneShardIsTheWholeDatasetIndex)
+{
+    // Four threads race for S10K's index (first test here, so nothing
+    // has built it yet), two through the 1-shard slice (one per
+    // policy) and two through the whole-dataset accessor the runner
+    // emits from: one build, one object.
+    const DatasetId ds = DatasetId::Sift10k;
+    std::vector<const DatasetIndex *> got(4);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < got.size(); ++t) {
+        threads.emplace_back([&got, t, ds] {
+            switch (t) {
+              case 0:
+                got[t] = &shardIndex(ds, PartitionPolicy::Spatial, 1, 0);
+                break;
+              case 1:
+                got[t] = &shardIndex(ds, PartitionPolicy::Hash, 1, 0);
+                break;
+              default:
+                got[t] = &datasetIndex(ds);
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (const DatasetIndex *idx : got)
+        EXPECT_EQ(idx, got[0]);
+    EXPECT_TRUE(got[0]->ids.empty());
+
+    // emitBatchTrace, emitShardBatchTrace at one shard and emitSemantic
+    // all emit from that object.
+    const std::vector<std::uint32_t> ids = firstIds(64);
+    const DatapathConfig dp;
+    const auto direct = traceFingerprint(*emitIndexTrace(
+        Algo::Ggnn, *got[0], KernelVariant::Hsu, dp, ids, kPool,
+        ServeKnobs{}));
+    EXPECT_EQ(traceFingerprint(*emitBatchTrace(
+                  Algo::Ggnn, ds, KernelVariant::Hsu, dp, ids, kPool)),
+              direct);
+    for (const PartitionPolicy policy :
+         {PartitionPolicy::Spatial, PartitionPolicy::Hash}) {
+        EXPECT_EQ(traceFingerprint(*emitShardBatchTrace(
+                      Algo::Ggnn, ShardKey{ds, policy, 1, 0},
+                      KernelVariant::Hsu, dp, ids, kPool)),
+                  direct);
+    }
+    RunnerOptions opts;
+    opts.ggnnQueries = 64;
+    const Lowering hsu = Lowering::hsu(dp);
+    EXPECT_EQ(traceFingerprint(lowerTrace(emitSemantic(Algo::Ggnn, ds, opts),
+                                          hsu)),
+              traceFingerprint(lowerTrace(
+                  emitIndexSem(Algo::Ggnn, *got[0], ids, 64), hsu)));
 }
 
 TEST(ShardIndex, FullDatasetBatchEmissionsArePinned)

@@ -2,10 +2,12 @@
  * @file
  * schedule_lint: replay golden serving workloads with schedule
  * recording on and run the schedule auditor (analysis/schedule_lint)
- * over the recorded event logs — SV rules against serve::Server runs,
- * SV+SH+CH rules against shard::ClusterServer runs — plus the SH
- * fixed-function sweeps: partition disjointness/coverage for every
- * (family, policy, N) and merge total-order over real sharded answers.
+ * over the recorded event logs of serve::Server and
+ * shard::ClusterServer runs (both run the one serving loop, so both
+ * logs carry lane and router events for the SV/SH/CH rules) — plus
+ * the SH fixed-function sweeps: partition disjointness/coverage for
+ * every (family, policy, N) and merge total-order over real sharded
+ * answers.
  *
  * Exit status: 0 when every workload lints clean of errors, 1
  * otherwise (warnings are printed but non-fatal). `--rules` prints the

@@ -2,9 +2,10 @@
  * @file
  * trace_lint: run the static trace/IR linter (analysis/trace_lint.hh)
  * over the five search kernels' semantic emissions and their
- * Baseline / Hsu / PartialOffload lowerings, plus the sharded
- * sub-index emissions (shard/shard_index emitShardBatchSem) that
- * otherwise only get linted in debug/HSU_AUDIT builds.
+ * Baseline / Hsu / PartialOffload lowerings, plus emissions against
+ * shard sub-indexes (search/runner emitIndexSem over
+ * shard/shard_index shardIndex) that otherwise only get linted in
+ * debug/HSU_AUDIT builds.
  *
  * Exit status: 0 when every selected workload lints clean of errors,
  * 1 otherwise (warnings are printed but non-fatal). `--rules` prints
@@ -119,8 +120,8 @@ buildWorkloads(const std::string &algo, bool quick)
     if (all || algo == "shard") {
         // Golden serving datasets, one per kernel family, emitted
         // against a 2-way shard sub-index under both partition
-        // policies — release-build coverage of emitShardBatchSem
-        // (the lane emitters' emission path).
+        // policies — release-build coverage of the lane emitters'
+        // emission path.
         struct ShardCase
         {
             const char *name;
@@ -141,15 +142,16 @@ buildWorkloads(const std::string &algo, bool quick)
             for (const shard::PartitionPolicy policy :
                  {shard::PartitionPolicy::Spatial,
                   shard::PartitionPolicy::Hash}) {
-                const shard::ShardKey key{c.dataset, policy, 2, 0};
                 const std::string name =
                     std::string(c.name) +
                     (policy == shard::PartitionPolicy::Spatial
                          ? "-spatial"
                          : "-hash");
                 out.push_back(
-                    {name, shard::emitShardBatchSem(c.algo, key, ids,
-                                                    pool_size)});
+                    {name,
+                     emitIndexSem(c.algo,
+                                  shard::shardIndex(c.dataset, policy, 2, 0),
+                                  ids, pool_size)});
             }
         }
     }
