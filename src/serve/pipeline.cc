@@ -29,7 +29,6 @@ QueryPipeline::admit(const Request &req)
                     req.queryId, kAdmitShed | (depth << 2));
         return Admission::Shed;
     }
-    stats_.admitted += 1;
     batcher_.push(req);
     rec_.record(req.arrivalCycle, ScheduleEventKind::Admit, req.id,
                 req.queryId, kAdmitQueued | (depth << 2));

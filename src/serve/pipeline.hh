@@ -85,7 +85,6 @@ struct PipelineConfig
 /** Scheduling-side counters (u64 sums — order-independent). */
 struct PipelineStats
 {
-    std::uint64_t admitted = 0;      //!< queued
     std::uint64_t shedAdmission = 0; //!< dropped at arrival (queue full)
     std::uint64_t shedExpired = 0;   //!< dropped at batch formation
     std::uint64_t degraded = 0;      //!< served with degraded knobs
