@@ -73,51 +73,16 @@ struct ShardReport
 };
 
 /** Aggregate results of one open-loop run of the loop. */
-struct ClusterReport
+struct ClusterReport : ServingReport
 {
-    std::uint64_t offered = 0;   //!< requests in the input stream
-    std::uint64_t completed = 0; //!< merged with >= 1 shard answer
     /** Completed, but >= 1 sub-query was shed (partial answer). */
     std::uint64_t partialAnswers = 0;
     /** Every routed sub-query shed: no answer at all. */
     std::uint64_t shedRequests = 0;
-    std::uint64_t subqueries = 0; //!< total scatter fan-out
-    /** Answered by the router cache (never routed; counted in
-     *  completed, not in fanout/subqueries). */
-    std::uint64_t cacheHits = 0;
-    Cycle lastCompletionCycle = 0;
-
-    Histogram latencyCycles; //!< arrival -> merged, per request
-    Histogram fanout;        //!< shards touched per request
-    Histogram batchSize;     //!< requests per launch, cluster-wide
-    /** Cluster-wide queue wait: Histogram::merge over the per-shard
-     *  histograms (tested against oracle percentiles). */
-    Histogram queueWaitCycles;
-
+    /** Total scatter fan-out (cache hits are never routed). */
+    std::uint64_t subqueries = 0;
+    Histogram fanout; //!< shards touched per request
     std::vector<ShardReport> shards;
-
-    /** Memory-system sums over every lane batch simulation
-     *  (SimTotals; deterministic resolve-order accumulation). */
-    std::uint64_t kernelCycles = 0; //!< summed batch kernel cycles
-    std::uint64_t smCycles = 0;     //!< kernel cycles x numSms
-    double l1Accesses = 0;
-    double l1Misses = 0;
-    double rtuBusyCycles = 0;       //!< 0 on the non-RT baseline
-
-    double
-    achievedQps() const
-    {
-        if (lastCompletionCycle == 0)
-            return 0.0;
-        return static_cast<double>(completed) /
-               (static_cast<double>(lastCompletionCycle) / kClockHz);
-    }
-
-    double
-    latencyUs(double p) const
-    {
-        return latencyCycles.percentile(p) / kClockHz * 1.0e6;
-    }
 
     /** Fraction of requests with degraded or missing answers. */
     double
@@ -125,30 +90,6 @@ struct ClusterReport
     {
         return offered ? static_cast<double>(partialAnswers +
                                              shedRequests) /
-                             static_cast<double>(offered)
-                       : 0.0;
-    }
-
-    /** L1 hit rate over every lane batch simulation. */
-    double
-    l1HitRate() const
-    {
-        return l1Accesses > 0 ? 1.0 - l1Misses / l1Accesses : 0.0;
-    }
-
-    /** RT-unit busy fraction of the cluster's SM-cycle budget. */
-    double
-    warpBufferResidency() const
-    {
-        return smCycles ? rtuBusyCycles / static_cast<double>(smCycles)
-                        : 0.0;
-    }
-
-    /** Router answer-cache hit rate over the offered stream. */
-    double
-    cacheHitRate() const
-    {
-        return offered ? static_cast<double>(cacheHits) /
                              static_cast<double>(offered)
                        : 0.0;
     }
@@ -221,6 +162,7 @@ class ServeLoop
         Lane(unsigned shard_idx, ScheduleRecorder recorder,
              const ServerConfig &cfg, DatasetId dataset,
              const BatchTraceEmitter &emitter);
+        /** Move-only, so std::vector<Lane> relocates by moving. */
         Lane(Lane &&) = default;
 
         unsigned shard;

@@ -34,25 +34,15 @@ Server::run(const std::vector<Request> &requests)
         });
     ClusterReport r = ServeLoop(algo_, dataset_, loop, requests).run();
 
-    ShardReport &lane = r.shards[0];
+    // Every request reaches the one lane unless the cache answers it.
+    const ShardReport &lane = r.shards[0];
     ServeReport report;
-    report.offered = r.offered;
     report.admitted = r.offered - lane.shedAdmission;
-    report.completed = r.completed;
     report.shedAdmission = lane.shedAdmission;
     report.shedExpired = lane.shedExpired;
     report.degraded = lane.degraded;
     report.batches = lane.batches;
-    report.cacheHits = r.cacheHits;
-    report.lastCompletionCycle = r.lastCompletionCycle;
-    report.latencyCycles = std::move(r.latencyCycles);
-    report.queueWaitCycles = std::move(lane.queueWaitCycles);
-    report.batchSize = std::move(r.batchSize);
-    report.kernelCycles = r.kernelCycles;
-    report.smCycles = r.smCycles;
-    report.l1Accesses = r.l1Accesses;
-    report.l1Misses = r.l1Misses;
-    report.rtuBusyCycles = r.rtuBusyCycles;
+    static_cast<ServingReport &>(report) = std::move(r);
     return report;
 }
 

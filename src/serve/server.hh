@@ -71,22 +71,19 @@ struct ServerConfig
     ScheduleLog *scheduleLog = nullptr;
 };
 
-/** Aggregate results of one open-loop serving run. */
-struct ServeReport
+/** What every serving run reports (serve/loop fills it). */
+struct ServingReport
 {
-    std::uint64_t offered = 0;      //!< requests in the input stream
-    std::uint64_t admitted = 0;     //!< queued or cache-answered
-    std::uint64_t completed = 0;    //!< served to completion
-    std::uint64_t shedAdmission = 0;//!< dropped at arrival (queue full)
-    std::uint64_t shedExpired = 0;  //!< dropped at batch formation (SLO)
-    std::uint64_t degraded = 0;     //!< served with degraded knobs
-    std::uint64_t batches = 0;      //!< kernel launches
-    std::uint64_t cacheHits = 0;    //!< answered without a launch
-    Cycle lastCompletionCycle = 0;  //!< simulated makespan
+    std::uint64_t offered = 0;     //!< requests in the input stream
+    std::uint64_t completed = 0;   //!< answered (>= 1 shard answer)
+    std::uint64_t cacheHits = 0;   //!< answered by the router cache
+    Cycle lastCompletionCycle = 0; //!< simulated makespan
 
-    Histogram latencyCycles;   //!< arrival -> completion, per request
-    Histogram queueWaitCycles; //!< arrival -> dispatch, per request
-    Histogram batchSize;       //!< requests per launch
+    Histogram latencyCycles; //!< arrival -> completion, per request
+    /** Lane arrival -> dispatch, per launched request; with several
+     *  shards, Histogram::merge over their histograms. */
+    Histogram queueWaitCycles;
+    Histogram batchSize; //!< requests per launch
 
     /** Memory-system sums over every batch simulation (pipeline
      *  SimTotals; deterministic resolve-order accumulation). */
@@ -95,16 +92,6 @@ struct ServeReport
     double l1Accesses = 0;
     double l1Misses = 0;
     double rtuBusyCycles = 0;       //!< 0 on the non-RT baseline
-
-    /** Fraction of offered requests dropped (either shed path). */
-    double
-    shedFraction() const
-    {
-        return offered ? static_cast<double>(shedAdmission +
-                                             shedExpired) /
-                             static_cast<double>(offered)
-                       : 0.0;
-    }
 
     /** Completions per second of simulated time at kClockHz. */
     double
@@ -132,7 +119,7 @@ struct ServeReport
     }
 
     /** RT-unit busy fraction of the SM-cycle budget — how occupied
-     *  the warp buffers were while the server ran batches. */
+     *  the warp buffers were while the run had batches in flight. */
     double
     warpBufferResidency() const
     {
@@ -145,6 +132,26 @@ struct ServeReport
     cacheHitRate() const
     {
         return offered ? static_cast<double>(cacheHits) /
+                             static_cast<double>(offered)
+                       : 0.0;
+    }
+};
+
+/** Aggregate results of one open-loop serving run. */
+struct ServeReport : ServingReport
+{
+    std::uint64_t admitted = 0;      //!< queued or cache-answered
+    std::uint64_t shedAdmission = 0; //!< dropped at arrival (queue full)
+    std::uint64_t shedExpired = 0;   //!< dropped at batch formation (SLO)
+    std::uint64_t degraded = 0;      //!< served with degraded knobs
+    std::uint64_t batches = 0;       //!< kernel launches
+
+    /** Fraction of offered requests dropped (either shed path). */
+    double
+    shedFraction() const
+    {
+        return offered ? static_cast<double>(shedAdmission +
+                                             shedExpired) /
                              static_cast<double>(offered)
                        : 0.0;
     }
