@@ -106,8 +106,8 @@ WorkloadResult runWorkload(Algo algo, DatasetId dataset,
 /**
  * Emit the semantic (pre-lowering) trace of one (algorithm, dataset)
  * experiment — the IR every lowering variant of the workload shares:
- * the first opts.*Queries queries of the serving pool of that size
- * (the dataset's generated query set) against datasetIndex().
+ * every query of the serving pool of size opts.*Queries (the
+ * dataset's generated query set), in order, against datasetIndex().
  * Always performs the (expensive) functional kernel run; most callers
  * want emitSemanticShared() instead, which memoizes the result.
  */
