@@ -7,11 +7,13 @@
  * element, that router pruning never skips a shard holding part of
  * the answer, that the per-shard kernels are exact over their slices,
  * and that the merge's (dist2, global id) order reconstructs the
- * global answer.
+ * global answer. Digests of the oracle's answers pin the oracle
+ * itself, so a change that moved both sides the same way fails too.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <numeric>
 
 #include "shard/answers.hh"
@@ -46,15 +48,11 @@ datasetFor(Algo algo)
     hsu_panic("unknown algo");
 }
 
-class MergeGolden
-    : public ::testing::TestWithParam<std::tuple<Algo, PartitionPolicy>>
+/** Sharded answers equal the unsharded oracle's at 1, 2 and 4 shards. */
+void
+expectShardedEqualsUnsharded(Algo algo, DatasetId dataset,
+                             PartitionPolicy policy)
 {
-};
-
-TEST_P(MergeGolden, ShardedEqualsUnsharded)
-{
-    const auto [algo, policy] = GetParam();
-    const DatasetId dataset = datasetFor(algo);
     const std::vector<std::uint32_t> queries = allPoolQueries();
     const AnswerSet golden =
         answerUnsharded(algo, dataset, queries, kPool);
@@ -65,6 +63,17 @@ TEST_P(MergeGolden, ShardedEqualsUnsharded)
             << toString(algo) << " diverged at "
             << toString(policy) << " x" << shards;
     }
+}
+
+class MergeGolden
+    : public ::testing::TestWithParam<std::tuple<Algo, PartitionPolicy>>
+{
+};
+
+TEST_P(MergeGolden, ShardedEqualsUnsharded)
+{
+    const auto [algo, policy] = GetParam();
+    expectShardedEqualsUnsharded(algo, datasetFor(algo), policy);
 }
 
 // toString(Algo) values contain '+'/'-', which gtest names disallow.
@@ -87,6 +96,89 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(PartitionPolicy::Spatial,
                                          PartitionPolicy::Hash)),
     mergeGoldenName);
+
+/** GGNN on an angular dataset: LFM, 65-d, Metric::Angular. */
+class MergeGoldenAngular : public ::testing::TestWithParam<PartitionPolicy>
+{
+};
+
+TEST_P(MergeGoldenAngular, GgnnShardedEqualsUnsharded)
+{
+    ASSERT_EQ(datasetInfo(DatasetId::LastFm).metric, Metric::Angular);
+    expectShardedEqualsUnsharded(Algo::Ggnn, DatasetId::LastFm,
+                                 GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LastFm, MergeGoldenAngular,
+    ::testing::Values(PartitionPolicy::Spatial, PartitionPolicy::Hash),
+    [](const ::testing::TestParamInfo<PartitionPolicy> &info) {
+        return toString(info.param);
+    });
+
+/**
+ * Order-sensitive FNV-1a digest of an answer set: every result's id and
+ * distance bits, query by query.
+ */
+std::uint64_t
+answerDigest(const AnswerSet &a)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    const auto mix = [&h](std::uint32_t v) {
+        for (int i = 0; i < 4; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    };
+    for (const std::vector<Neighbor> &list : a.topk) {
+        mix(static_cast<std::uint32_t>(list.size()));
+        for (const Neighbor &n : list) {
+            mix(n.index);
+            mix(std::bit_cast<std::uint32_t>(n.dist2));
+        }
+    }
+    for (const Neighbor &n : a.nearest) {
+        mix(n.index);
+        mix(std::bit_cast<std::uint32_t>(n.dist2));
+    }
+    for (const RadiusHit &hit : a.radius) {
+        mix(static_cast<std::uint32_t>(hit.index));
+        mix(std::bit_cast<std::uint32_t>(hit.dist2));
+    }
+    for (const std::optional<std::uint32_t> &v : a.values) {
+        mix(v.has_value());
+        mix(v.value_or(0));
+    }
+    return h;
+}
+
+// Digests of the oracle's answers over the whole 64-query pool,
+// captured before the datasets were generated once per process: how
+// the points are stored or scanned must not move an answer.
+TEST(MergeDigest, UnshardedAnswersArePinned)
+{
+    struct Pin
+    {
+        Algo algo;
+        DatasetId dataset;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {Algo::Ggnn, DatasetId::Sift10k, 0xf16087b33d20285aull},
+        {Algo::Ggnn, DatasetId::LastFm, 0xf184ebf7d8ba8edbull},
+        {Algo::Flann, DatasetId::Random10k, 0x619cd63c9dee3541ull},
+        {Algo::Bvhnn, DatasetId::Random10k, 0xac10b1c571487340ull},
+        {Algo::Btree, DatasetId::BTree10k, 0x9a08e09bbf04939eull},
+    };
+    for (const Pin &pin : pins) {
+        const std::uint64_t got = answerDigest(answerUnsharded(
+            pin.algo, pin.dataset, allPoolQueries(), kPool));
+        EXPECT_EQ(got, pin.digest)
+            << toString(pin.algo) << "/"
+            << datasetInfo(pin.dataset).abbr << ": got 0x" << std::hex
+            << got;
+    }
+}
 
 TEST(Merge, TopKOrderIsTotal)
 {
