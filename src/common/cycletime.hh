@@ -23,6 +23,14 @@ using Cycle = std::uint64_t;
 /** "No self-scheduled future event" sentinel for nextEventCycle(). */
 inline constexpr Cycle kNeverCycle = ~static_cast<Cycle>(0);
 
+/** @p a + @p b, saturating at kNeverCycle: a sum that would pass it
+ *  (a wait or deadline of kNeverCycle, say) means "never". */
+inline constexpr Cycle
+saturatingAdd(Cycle a, Cycle b)
+{
+    return b > kNeverCycle - a ? kNeverCycle : a + b;
+}
+
 } // namespace hsu
 
 #endif // HSU_COMMON_CYCLETIME_HH

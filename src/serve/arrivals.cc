@@ -101,9 +101,10 @@ ArrivalGenerator::next()
     req.algo = algo_;
     req.dataset = dataset_;
     req.queryId = nextQueryId();
-    req.deadlineCycle = cfg_.deadlineCycles
-                            ? req.arrivalCycle + cfg_.deadlineCycles
-                            : kNeverCycle;
+    req.deadlineCycle =
+        cfg_.deadlineCycles
+            ? saturatingAdd(req.arrivalCycle, cfg_.deadlineCycles)
+            : kNeverCycle;
     return req;
 }
 

@@ -69,7 +69,8 @@ struct ArrivalConfig
     double burstFraction = 0.2;
     /** Bursty: mean burst-state sojourn, in cycles. */
     double meanBurstCycles = 200'000.0;
-    /** Per-request latency SLO; 0 disables deadlines. */
+    /** Per-request latency SLO; 0 disables deadlines. A deadline past
+     *  kNeverCycle saturates there (never expires). */
     Cycle deadlineCycles = 0;
     /** Serving query pool size request query-ids are drawn from. */
     std::uint32_t queryPoolSize = 1024;

@@ -28,7 +28,7 @@ DynamicBatcher::batchReady(Cycle now) const
         return false;
     if (queue_.size() >= policy_.maxBatch)
         return true;
-    return now >= oldestArrival() + policy_.maxWaitCycles;
+    return now >= saturatingAdd(oldestArrival(), policy_.maxWaitCycles);
 }
 
 std::vector<Request>
@@ -60,7 +60,7 @@ DynamicBatcher::nextForceCycle() const
 {
     if (queue_.empty())
         return kNeverCycle;
-    return oldestArrival() + policy_.maxWaitCycles;
+    return saturatingAdd(oldestArrival(), policy_.maxWaitCycles);
 }
 
 } // namespace hsu::serve

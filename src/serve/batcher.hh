@@ -38,7 +38,8 @@ struct BatchPolicy
      *  launch warp-shaped either way. */
     unsigned maxBatch = 32;
     /** Max cycles the oldest pending request may wait before a partial
-     *  batch is forced out. */
+     *  batch is forced out; a force cycle past kNeverCycle saturates
+     *  there (never forced). */
     Cycle maxWaitCycles = 50'000;
 };
 
@@ -71,7 +72,8 @@ class DynamicBatcher
 
     /**
      * Earliest future cycle at which the age trigger fires (for the
-     * server's event loop); kNeverCycle when the queue is empty.
+     * server's event loop); kNeverCycle when the queue is empty or the
+     * trigger never fires.
      */
     Cycle nextForceCycle() const;
 

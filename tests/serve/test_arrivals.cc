@@ -106,6 +106,20 @@ TEST(Arrivals, StreamInvariants)
     }
 }
 
+TEST(Arrivals, HugeDeadlineSaturatesInsteadOfWrapping)
+{
+    // A deadline near 2^64 cycles must read as "never", not wrap to a
+    // cycle before the arrival, which would expire every request.
+    ArrivalConfig cfg;
+    cfg.ratePerCycle = 1.0e-4;
+    cfg.deadlineCycles = kNeverCycle - 1;
+    cfg.seed = 3;
+    for (const Request &r :
+         ArrivalGenerator(cfg, Algo::Flann, DatasetId::Bunny).generate(64)) {
+        EXPECT_EQ(r.deadlineCycle, kNeverCycle) << "request " << r.id;
+    }
+}
+
 TEST(Arrivals, PoissonMeanRateApproximate)
 {
     ArrivalConfig cfg;

@@ -44,6 +44,27 @@ TEST(Batcher, SizeTriggerAndCap)
     EXPECT_EQ(b.pending(), 6u);
 }
 
+TEST(Batcher, NeverWaitSaturatesInsteadOfWrapping)
+{
+    // A wait of kNeverCycle means the age trigger never fires; the sum
+    // with the arrival cycle must not wrap to a cycle in the past.
+    BatchPolicy policy;
+    policy.maxBatch = 4;
+    policy.maxWaitCycles = kNeverCycle;
+    DynamicBatcher b(policy);
+    b.push(makeReq(0, 100));
+    EXPECT_FALSE(b.batchReady(100));
+    EXPECT_FALSE(b.batchReady(kNeverCycle - 1));
+    EXPECT_EQ(b.nextForceCycle(), kNeverCycle);
+
+    // One cycle short of saturating still fires on time.
+    policy.maxWaitCycles = kNeverCycle - 101;
+    DynamicBatcher near(policy);
+    near.push(makeReq(0, 100));
+    EXPECT_EQ(near.nextForceCycle(), kNeverCycle - 1);
+    EXPECT_TRUE(near.batchReady(kNeverCycle - 1));
+}
+
 TEST(Batcher, FifoNeverReorders)
 {
     BatchPolicy policy;
