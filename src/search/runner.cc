@@ -440,7 +440,8 @@ buildDatasetIndex(DatasetIndex &idx, DatasetId dataset,
             [](std::istream &is) { return loadBTree(is); },
             [&] {
                 // Ranks in the sorted key set are the element ids.
-                const std::vector<std::uint32_t> keys = generateKeys(info);
+                const std::vector<std::uint32_t> &keys =
+                    datasetKeys(dataset);
                 const std::size_t n =
                     idx.ids.empty() ? keys.size() : idx.ids.size();
                 std::vector<std::pair<std::uint32_t, std::uint32_t>>
@@ -458,20 +459,22 @@ buildDatasetIndex(DatasetIndex &idx, DatasetId dataset,
         return;
     }
 
-    // The whole dataset keeps the points it generates; a slice gathers
-    // its own. Either way they stay put: the kernels built below hold
+    // The whole dataset reads the store's points; a slice gathers its
+    // own. Either way they stay put: the kernels built below hold
     // references into them.
-    PointSet full = generatePoints(info);
+    const PointSet &full = datasetPoints(dataset);
     if (info.kind == DatasetKind::Point3d)
         idx.radius = pickRadius(full);
     if (idx.ids.empty()) {
-        idx.points = std::move(full);
+        idx.points = &full;
     } else {
-        idx.points = PointSet(full.dim());
-        idx.points.reserve(idx.ids.size());
+        idx.slicePoints = PointSet(full.dim());
+        idx.slicePoints.reserve(idx.ids.size());
         for (const std::uint32_t id : idx.ids)
-            idx.points.add(full[id]);
+            idx.slicePoints.add(full[id]);
+        idx.points = &idx.slicePoints;
     }
+    const PointSet &points = *idx.points;
 
     if (info.kind == DatasetKind::HighDim) {
         const HnswParams hp{};
@@ -479,8 +482,8 @@ buildDatasetIndex(DatasetIndex &idx, DatasetId dataset,
             file("hnsw",
                  {static_cast<std::uint64_t>(info.metric), hp.degree,
                   hp.degreeLayer0, hp.efConstruction, hp.seed}),
-            [&](std::istream &is) { return loadGraph(is, idx.points); },
-            [&] { return HnswGraph::build(idx.points, info.metric, hp); },
+            [&](std::istream &is) { return loadGraph(is, points); },
+            [&] { return HnswGraph::build(points, info.metric, hp); },
             [](std::ostream &os, const HnswGraph &g) {
                 saveGraph(os, g);
             }));
@@ -491,14 +494,14 @@ buildDatasetIndex(DatasetIndex &idx, DatasetId dataset,
     idx.bvh = std::make_unique<Lbvh>(cachedIndex<Lbvh>(
         file("lbvh", {std::bit_cast<std::uint32_t>(idx.radius)}),
         [](std::istream &is) { return loadLbvh(is); },
-        [&] { return Lbvh::buildFromPoints(idx.points, idx.radius); },
+        [&] { return Lbvh::buildFromPoints(points, idx.radius); },
         [](std::ostream &os, const Lbvh &b) { saveLbvh(os, b); }));
-    idx.bvhnn = std::make_unique<BvhnnKernel>(idx.points, *idx.bvh,
+    idx.bvhnn = std::make_unique<BvhnnKernel>(points, *idx.bvh,
                                               BvhnnConfig{idx.radius});
     idx.kdtree = std::make_unique<KdTree>(cachedIndex<KdTree>(
         file("kdtree", {kKdLeafSize}),
-        [&](std::istream &is) { return loadKdTree(is, idx.points); },
-        [&] { return KdTree::build(idx.points, kKdLeafSize); },
+        [&](std::istream &is) { return loadKdTree(is, points); },
+        [&] { return KdTree::build(points, kKdLeafSize); },
         [](std::ostream &os, const KdTree &t) { saveKdTree(os, t); }));
     idx.flann = std::make_unique<FlannKernel>(*idx.kdtree);
 }

@@ -268,11 +268,19 @@ struct DatasetSlice
  */
 struct DatasetIndex
 {
+    DatasetIndex() = default;
+    DatasetIndex(const DatasetIndex &) = delete;
+    DatasetIndex &operator=(const DatasetIndex &) = delete;
+
     DatasetId dataset{};
     /** Global ids of the slice's elements in local order (ascending);
      *  empty for the whole dataset, whose local ids are global. */
     std::vector<std::uint32_t> ids;
-    PointSet points; //!< HighDim / Point3d: the slice's points
+    /** HighDim / Point3d: the slice's points. The whole dataset reads
+     *  the dataset store's copy (datasetPoints); a sub-slice reads
+     *  slicePoints. */
+    const PointSet *points = nullptr;
+    PointSet slicePoints; //!< a sub-slice's gather of its rows
 
     std::unique_ptr<HnswGraph> graph;
     std::unique_ptr<GgnnKernel> ggnn;
@@ -296,8 +304,10 @@ struct DatasetIndex
 
 /**
  * Build every index of @p dataset's kind over the elements @p ids
- * (global ids, ascending; empty means the whole dataset, which then
- * owns the points it generates) into @p idx. Each structure goes
+ * (global ids, ascending; empty means the whole dataset) into @p idx.
+ * The elements come from the dataset store (datasetPoints,
+ * datasetKeys): the whole dataset refers to the stored points, and a
+ * sub-slice gathers its rows into slicePoints. Each structure goes
  * through the HSU_INDEX_CACHE disk cache under indexCacheStem(info,
  * @p slice, ...). A pure function of its arguments.
  */

@@ -1,6 +1,7 @@
 #include "shard/answers.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/logging.hh"
 #include "shard/shard_index.hh"
@@ -18,20 +19,66 @@ sameNeighbor(const Neighbor &a, const Neighbor &b)
     return a.index == b.index && a.dist2 == b.dist2;
 }
 
-/** Exact top-k over a candidate id set by (metric distance, global id),
- *  via bounded sorted insertion — the per-shard "filter" answer. */
+/** A query id outside the serving pool fails here, by name, before
+ *  any path indexes the pool with it. */
+void
+checkPoolIds(const std::vector<std::uint32_t> &query_ids,
+             std::size_t pool_size)
+{
+    for (const std::uint32_t q : query_ids) {
+        hsu_assert(q < pool_size, "query id ", q,
+                   " is outside the serving pool of ", pool_size,
+                   " queries");
+    }
+}
+
+/**
+ * A GGNN dataset's stored points (datasetPoints), scanned with the
+ * batched distance kernel: distances() gives metricDist(metric, query,
+ * point) bit for bit. The angular norms are computed once per scan.
+ */
+class PointScan
+{
+  public:
+    explicit PointScan(DatasetId dataset)
+        : points_(datasetPoints(dataset)),
+          metric_(datasetInfo(dataset).metric),
+          norms_(metricNorms(points_, metric_))
+    {
+    }
+
+    /** dist[j] = the distance from @p query to stored point ids[j]. */
+    void
+    distances(const float *query, const std::vector<std::uint32_t> &ids,
+              std::vector<float> &dist) const
+    {
+        dist.resize(ids.size());
+        const float query_norm = metric_ == Metric::Angular
+                                     ? metricNorm(query, points_.dim())
+                                     : 0.0f;
+        metricDistBatch(metric_, query, query_norm, points_, norms_.data(),
+                        ids.data(), static_cast<unsigned>(ids.size()),
+                        dist.data());
+    }
+
+    std::size_t size() const { return points_.size(); }
+
+  private:
+    const PointSet &points_;
+    Metric metric_;
+    std::vector<float> norms_;
+};
+
+/** Exact top-k of candidates (ids[j], dist[j]) by (distance, global
+ *  id), via bounded sorted insertion — the per-shard "filter" answer. */
 std::vector<Neighbor>
-exactTopK(const PointSet &points, const float *query, Metric metric,
-          const std::vector<std::uint32_t> &local_to_global, unsigned k)
+exactTopK(const std::vector<std::uint32_t> &ids,
+          const std::vector<float> &dist, unsigned k)
 {
     std::vector<Neighbor> best;
     best.reserve(k + 1);
-    for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(points.size()); ++i) {
-        const Neighbor cand{local_to_global.empty() ? i
-                                                    : local_to_global[i],
-                            metricDist(metric, query, points[i],
-                                       points.dim())};
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+        const Neighbor cand{ids[j], dist[j]};
         if (best.size() == k && !(cand < best.back()))
             continue;
         best.insert(std::lower_bound(best.begin(), best.end(), cand),
@@ -117,25 +164,26 @@ answerUnsharded(Algo algo, DatasetId dataset,
                 const std::vector<std::uint32_t> &query_ids,
                 std::size_t pool_size, unsigned k)
 {
-    const DatasetInfo &info = datasetInfo(dataset);
+    checkPoolIds(query_ids, pool_size);
     AnswerSet out;
 
     switch (algo) {
       case Algo::Ggnn: {
-        const PointSet base = generatePoints(info);
+        const PointScan scan(dataset);
         const PointSet &pool = serveQueryPoints(dataset, pool_size);
+        std::vector<std::uint32_t> ids(scan.size());
+        std::iota(ids.begin(), ids.end(), 0u);
+        std::vector<float> dist;
         out.topk.reserve(query_ids.size());
         for (const std::uint32_t q : query_ids) {
             // Independent oracle path: materialize every distance and
             // partial-sort, instead of the bounded insertion the
             // sharded filter uses.
+            scan.distances(pool[q], ids, dist);
             std::vector<Neighbor> all;
-            all.reserve(base.size());
-            for (std::uint32_t i = 0;
-                 i < static_cast<std::uint32_t>(base.size()); ++i) {
-                all.push_back({i, metricDist(info.metric, pool[q],
-                                             base[i], base.dim())});
-            }
+            all.reserve(ids.size());
+            for (const std::uint32_t i : ids)
+                all.push_back({i, dist[i]});
             const std::size_t kk = std::min<std::size_t>(k, all.size());
             std::partial_sort(all.begin(),
                               all.begin() +
@@ -148,7 +196,7 @@ answerUnsharded(Algo algo, DatasetId dataset,
       }
 
       case Algo::Flann: {
-        const PointSet base = generatePoints(info);
+        const PointSet &base = datasetPoints(dataset);
         const PointSet &pool = serveQueryPoints(dataset, pool_size);
         out.nearest.reserve(query_ids.size());
         for (const std::uint32_t q : query_ids) {
@@ -166,7 +214,7 @@ answerUnsharded(Algo algo, DatasetId dataset,
       }
 
       case Algo::Bvhnn: {
-        const PointSet base = generatePoints(info);
+        const PointSet &base = datasetPoints(dataset);
         const PointSet &pool = serveQueryPoints(dataset, pool_size);
         const float r = datasetRadius(dataset);
         out.radius.reserve(query_ids.size());
@@ -188,7 +236,7 @@ answerUnsharded(Algo algo, DatasetId dataset,
       }
 
       case Algo::Btree: {
-        const std::vector<std::uint32_t> keys = generateKeys(info);
+        const std::vector<std::uint32_t> &keys = datasetKeys(dataset);
         const std::vector<std::uint32_t> &pool =
             serveQueryKeys(dataset, pool_size);
         out.values.reserve(query_ids.size());
@@ -214,6 +262,7 @@ answerSharded(Algo algo, DatasetId dataset, PartitionPolicy policy,
               const std::vector<std::uint32_t> &query_ids,
               std::size_t pool_size, unsigned k)
 {
+    checkPoolIds(query_ids, pool_size);
     const Partitioning &part =
         cachedPartitioning(dataset, policy, num_shards);
     const std::vector<ShardBatch> routed =
@@ -222,28 +271,22 @@ answerSharded(Algo algo, DatasetId dataset, PartitionPolicy policy,
 
     switch (algo) {
       case Algo::Ggnn: {
-        const DatasetInfo &info = datasetInfo(dataset);
         const PointSet &pool = serveQueryPoints(dataset, pool_size);
-        // The per-shard "filter" answer scans the slice directly —
-        // no need to build the shard's HNSW graph (that belongs to
-        // the timing model, shard/shard_index).
-        const PointSet base = generatePoints(info);
+        // The per-shard "filter" answer scans the slice's stored rows
+        // directly — no need to build the shard's HNSW graph (that
+        // belongs to the timing model, shard/shard_index).
+        const PointScan scan(dataset);
+        std::vector<float> dist;
         // partials[slot][shard-rank] = that shard's exact top-k.
         std::vector<std::vector<std::vector<Neighbor>>> partials(
             query_ids.size());
         for (unsigned s = 0; s < part.numShards(); ++s) {
-            if (routed[s].queryIds.empty())
-                continue;
-            const ShardSlice &slice = part.shards[s];
-            PointSet shard_points(base.dim());
-            shard_points.reserve(slice.ids.size());
-            for (const std::uint32_t id : slice.ids)
-                shard_points.add(base[id]);
+            const std::vector<std::uint32_t> &ids = part.shards[s].ids;
             for (std::size_t i = 0; i < routed[s].queryIds.size();
                  ++i) {
-                partials[routed[s].slots[i]].push_back(exactTopK(
-                    shard_points, pool[routed[s].queryIds[i]],
-                    info.metric, slice.ids, k));
+                scan.distances(pool[routed[s].queryIds[i]], ids, dist);
+                partials[routed[s].slots[i]].push_back(
+                    exactTopK(ids, dist, k));
             }
         }
         out.topk.reserve(query_ids.size());

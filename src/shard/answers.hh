@@ -22,9 +22,13 @@
  *    filter step of a filter-refine contract); the GGNN *trace* in
  *    the cluster timing model still comes from the real beam kernel.
  *
- * Oracles are independent reference scans (no kernels, no trees), so
- * answer equality exercises partition coverage, routing soundness,
- * per-shard kernel exactness, and merge correctness at once.
+ * Oracles are independent reference scans (no search kernels, no
+ * trees), so answer equality exercises partition coverage, routing
+ * soundness, per-shard kernel exactness, and merge correctness at
+ * once. Every path reads the dataset store (datasetPoints,
+ * datasetKeys); both GGNN paths scan it with the batched distance
+ * kernel (metricDistBatch), which is bit-identical to metricDist.
+ * A query id outside the serving pool fails by name.
  */
 
 #ifndef HSU_SHARD_ANSWERS_HH

@@ -112,7 +112,7 @@ partitionDataset(DatasetId dataset, PartitionPolicy policy,
         // Element id i is the rank of key i in the (sorted, unique)
         // key set — the same id BTree::build stores as the value, so
         // shard lookups return globally meaningful values.
-        const std::vector<std::uint32_t> keys = generateKeys(info);
+        const std::vector<std::uint32_t> &keys = datasetKeys(dataset);
         hsu_assert(keys.size() >= num_shards,
                    "more shards than keys in ", info.paperName);
         std::vector<std::vector<std::uint32_t>> runs;
@@ -141,7 +141,7 @@ partitionDataset(DatasetId dataset, PartitionPolicy policy,
         return out;
     }
 
-    const PointSet points = generatePoints(info);
+    const PointSet &points = datasetPoints(dataset);
     hsu_assert(points.size() >= num_shards,
                "more shards than points in ", info.paperName);
     std::vector<std::vector<std::uint32_t>> runs;

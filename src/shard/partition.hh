@@ -82,8 +82,8 @@ struct Partitioning
 
 /**
  * Partition the base elements of @p dataset into @p num_shards slices.
- * Points datasets split their PointSet; Keys datasets split the key
- * set. Every element lands in exactly one shard; spatial slices are
+ * Points datasets split the stored PointSet (datasetPoints); Keys
+ * datasets split the stored key set (datasetKeys). Every element lands in exactly one shard; spatial slices are
  * contiguous in the locality key with populations differing by at most
  * one, hash slices are deriveSeed-balanced.
  */

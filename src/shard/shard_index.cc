@@ -33,7 +33,7 @@ float
 datasetRadius(DatasetId dataset)
 {
     return cachedAssets<RadiusAsset>(dataset, [=](RadiusAsset &a) {
-               a.radius = pickRadius(generatePoints(datasetInfo(dataset)));
+               a.radius = pickRadius(datasetPoints(dataset));
            })
         .radius;
 }

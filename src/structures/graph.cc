@@ -164,19 +164,6 @@ distBatch(const float *query, float query_norm, const PointSet &points,
     }
 }
 
-/** metricNorm of every point for Metric::Angular; empty otherwise. */
-std::vector<float>
-pointNorms(const PointSet &points, Metric metric)
-{
-    std::vector<float> norms;
-    if (metric != Metric::Angular)
-        return norms;
-    norms.resize(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i)
-        norms[i] = metricNorm(points[i], points.dim());
-    return norms;
-}
-
 /** Marks a cached pair distance not yet evaluated. A distance that
  *  rounds below 0 reads as unevaluated too and is recomputed, to the
  *  same value. */
@@ -252,6 +239,18 @@ class RowPairs
 };
 
 } // namespace
+
+std::vector<float>
+metricNorms(const PointSet &points, Metric metric)
+{
+    std::vector<float> norms;
+    if (metric != Metric::Angular)
+        return norms;
+    norms.resize(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i)
+        norms[i] = metricNorm(points[i], points.dim());
+    return norms;
+}
 
 void
 metricDistBatch(Metric metric, const float *query, float query_norm,
@@ -344,7 +343,7 @@ HnswGraph::build(const PointSet &points, Metric metric,
         }
     }
     g.entry_ = 0;
-    g.norms_ = pointNorms(points, metric);
+    g.norms_ = metricNorms(points, metric);
 
     auto normOf = [&g](std::uint32_t a) {
         return g.norms_.empty() ? 0.0f : g.norms_[a];
@@ -823,7 +822,7 @@ HnswGraph::fromParts(const PointSet &points, Metric metric,
     g.params_ = params;
     g.layers_ = std::move(layers);
     g.entry_ = entry;
-    g.norms_ = pointNorms(points, metric);
+    g.norms_ = metricNorms(points, metric);
     return g;
 }
 

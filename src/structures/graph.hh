@@ -41,6 +41,10 @@ float metricDist(Metric metric, const float *a, const float *b,
  */
 float metricNorm(const float *a, unsigned dim);
 
+/** metricNorm of every point of @p points for Metric::Angular, indexed
+ *  by point id as metricDistBatch reads them; empty for Euclidean. */
+std::vector<float> metricNorms(const PointSet &points, Metric metric);
+
 /**
  * Batched metricDist: out[j] = metricDist(metric, query,
  * points[ids[j]], points.dim()) bit for bit, for j < count; @p query

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "common/memo.hh"
 #include "common/rng.hh"
 
 namespace hsu
@@ -317,6 +318,23 @@ generateKeyQueries(const DatasetInfo &info, std::size_t count)
         }
     }
     return out;
+}
+
+const PointSet &
+datasetPoints(DatasetId id)
+{
+    return cachedAssets<PointSet>(id, [id](PointSet &points) {
+        points = generatePoints(datasetInfo(id));
+    });
+}
+
+const std::vector<std::uint32_t> &
+datasetKeys(DatasetId id)
+{
+    return cachedAssets<std::vector<std::uint32_t>>(
+        id, [id](std::vector<std::uint32_t> &keys) {
+            keys = generateKeys(datasetInfo(id));
+        });
 }
 
 } // namespace hsu

@@ -9,7 +9,9 @@
  * each dataset is replaced by a deterministic synthetic generator that
  * preserves its *dimension, distance metric, and clustering character*,
  * with point counts scaled to simulator-friendly sizes (see DESIGN.md
- * section 5 for the substitution table).
+ * section 5 for the substitution table). The library reads each
+ * dataset from a per-process store (datasetPoints, datasetKeys) that
+ * runs its generator once.
  */
 
 #ifndef HSU_WORKLOADS_DATASETS_HH
@@ -95,6 +97,19 @@ std::vector<std::uint32_t> generateKeys(const DatasetInfo &info);
  */
 std::vector<std::uint32_t> generateKeyQueries(const DatasetInfo &info,
                                               std::size_t count);
+
+/**
+ * The dataset store: dataset @p id's points, generated once per process
+ * (generatePoints, on first use from any thread) and kept for the
+ * process's lifetime at one address. Every index slice, the partitioner
+ * and the answer checks read this copy; kernels may hold references
+ * into it. @pre the dataset's kind is not Keys.
+ */
+const PointSet &datasetPoints(DatasetId id);
+
+/** Keys flavor of datasetPoints(): generateKeys once per process.
+ *  @pre the dataset's kind is Keys. */
+const std::vector<std::uint32_t> &datasetKeys(DatasetId id);
 
 } // namespace hsu
 

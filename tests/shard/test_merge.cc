@@ -180,6 +180,41 @@ TEST(MergeDigest, UnshardedAnswersArePinned)
     }
 }
 
+/** Both answer paths fail by name on a query id outside the pool,
+ *  before any path indexes the pool with it. */
+void
+expectOutOfPoolIdDies(Algo algo)
+{
+    const DatasetId dataset = datasetFor(algo);
+    const std::vector<std::uint32_t> ids = {3, 100000};
+    const char *const why =
+        "query id 100000 is outside the serving pool of 1024 queries";
+    EXPECT_DEATH(answerUnsharded(algo, dataset, ids, 1024), why);
+    EXPECT_DEATH(answerSharded(algo, dataset, PartitionPolicy::Spatial, 4,
+                               ids, 1024),
+                 why);
+}
+
+TEST(AnswerDeathTest, GgnnRejectsOutOfPoolIds)
+{
+    expectOutOfPoolIdDies(Algo::Ggnn);
+}
+
+TEST(AnswerDeathTest, FlannRejectsOutOfPoolIds)
+{
+    expectOutOfPoolIdDies(Algo::Flann);
+}
+
+TEST(AnswerDeathTest, BvhnnRejectsOutOfPoolIds)
+{
+    expectOutOfPoolIdDies(Algo::Bvhnn);
+}
+
+TEST(AnswerDeathTest, BtreeRejectsOutOfPoolIds)
+{
+    expectOutOfPoolIdDies(Algo::Btree);
+}
+
 TEST(Merge, TopKOrderIsTotal)
 {
     // Two shards with interleaved distances and a cross-shard tie:

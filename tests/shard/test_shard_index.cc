@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <numeric>
 #include <thread>
 
@@ -125,6 +126,47 @@ TEST(ShardIndex, OneShardIsTheWholeDatasetIndex)
                                           hsu)),
               traceFingerprint(lowerTrace(
                   emitIndexSem(Algo::Ggnn, *got[0], ids, 64), hsu)));
+}
+
+TEST(ShardIndex, WholeDatasetIndexReadsTheStore)
+{
+    // The whole-dataset index, and the structures and kernels built
+    // over it, refer to the dataset store's one copy of the points.
+    const DatasetIndex &ann = datasetIndex(DatasetId::Sift10k);
+    const PointSet &ann_store = datasetPoints(DatasetId::Sift10k);
+    EXPECT_EQ(ann.points, &ann_store);
+    EXPECT_EQ(&ann.graph->points(), &ann_store);
+    EXPECT_EQ(ann.slicePoints.size(), 0u);
+
+    const DatasetIndex &pts = datasetIndex(DatasetId::Random10k);
+    const PointSet &pts_store = datasetPoints(DatasetId::Random10k);
+    EXPECT_EQ(pts.points, &pts_store);
+    EXPECT_EQ(&pts.kdtree->points(), &pts_store);
+    EXPECT_EQ(pts.slicePoints.size(), 0u);
+}
+
+TEST(ShardIndex, ShardPointsAreAGatherOfTheStore)
+{
+    const DatasetId ds = DatasetId::Random10k;
+    const PointSet &store = datasetPoints(ds);
+    const Partitioning &part =
+        cachedPartitioning(ds, PartitionPolicy::Spatial, 4);
+    for (unsigned s = 0; s < 4; ++s) {
+        const DatasetIndex &idx =
+            shardIndex(ds, PartitionPolicy::Spatial, 4, s);
+        const std::vector<std::uint32_t> &ids = part.shards[s].ids;
+        ASSERT_EQ(idx.points, &idx.slicePoints) << "shard " << s;
+        EXPECT_EQ(&idx.kdtree->points(), &idx.slicePoints);
+        EXPECT_EQ(idx.ids, ids);
+        ASSERT_EQ(idx.points->size(), ids.size());
+        ASSERT_EQ(idx.points->dim(), store.dim());
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+            ASSERT_EQ(std::memcmp((*idx.points)[i], store[ids[i]],
+                                  store.strideBytes()),
+                      0)
+                << "shard " << s << " row " << i;
+        }
+    }
 }
 
 TEST(ShardIndex, FullDatasetBatchEmissionsArePinned)

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <thread>
+#include <vector>
 
 #include "workloads/datasets.hh"
 
@@ -136,6 +139,53 @@ TEST(Datasets, CosmosIsClustered)
     };
     // Normalize by domain size (cosmos ~22 units, uniform 1 unit).
     EXPECT_LT(mean_nn(cosmos, 22.0f), mean_nn(uniform, 1.0f) * 0.8);
+}
+
+/**
+ * Four threads race on the store's first use of @p get (nothing in
+ * this process has read the dataset yet): all get one address, whose
+ * contents are bit-equal to a fresh generation.
+ */
+template <typename Get>
+auto
+raceOnFirstUse(Get get)
+{
+    std::vector<decltype(&get())> got(4);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < got.size(); ++t)
+        threads.emplace_back([&got, &get, t] { got[t] = &get(); });
+    for (std::thread &t : threads)
+        t.join();
+    for (const auto *p : got)
+        EXPECT_EQ(p, got[0]);
+    return got[0];
+}
+
+TEST(DatasetStore, PointsAreGeneratedOnceAndBitEqual)
+{
+    const DatasetId id = DatasetId::Sift10k;
+    const PointSet *stored =
+        raceOnFirstUse([id]() -> const PointSet & {
+            return datasetPoints(id);
+        });
+    const PointSet fresh = generatePoints(datasetInfo(id));
+    ASSERT_EQ(stored->size(), fresh.size());
+    ASSERT_EQ(stored->dim(), fresh.dim());
+    EXPECT_EQ(std::memcmp((*stored)[0], fresh[0],
+                          fresh.size() * fresh.strideBytes()),
+              0);
+    EXPECT_EQ(&datasetPoints(id), stored);
+}
+
+TEST(DatasetStore, KeysAreGeneratedOnceAndEqual)
+{
+    const DatasetId id = DatasetId::BTree10k;
+    const std::vector<std::uint32_t> *stored =
+        raceOnFirstUse([id]() -> const std::vector<std::uint32_t> & {
+            return datasetKeys(id);
+        });
+    EXPECT_EQ(*stored, generateKeys(datasetInfo(id)));
+    EXPECT_EQ(&datasetKeys(id), stored);
 }
 
 TEST(Datasets, AngularSetsHaveSpread)
