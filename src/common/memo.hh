@@ -1,7 +1,7 @@
 /**
  * @file
- * Build-once asset memoization shared by the runner and the shard
- * layer.
+ * Build-once asset memoization shared by the dataset store
+ * (workloads/datasets), the runner and the shard layer.
  *
  * cachedAssets<Assets>(key, build) returns a process-lifetime reference
  * to the Assets built for @p key, constructing them exactly once no

@@ -317,7 +317,8 @@ void buildDatasetIndex(DatasetIndex &idx, DatasetId dataset,
 
 /**
  * The whole-dataset index of @p dataset: built once per process on
- * first use (from any thread) and shared by every later caller.
+ * first use (from any thread) and shared by every later caller. Its
+ * points are the dataset store's (datasetPoints).
  */
 const DatasetIndex &datasetIndex(DatasetId dataset);
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Dataset registry and generator tests: Table II metadata fidelity,
- * determinism, and basic statistical character of the stand-ins.
+ * determinism, basic statistical character of the stand-ins, and the
+ * per-process dataset store.
  */
 
 #include <gtest/gtest.h>
