@@ -55,9 +55,10 @@ AnswerCache::keyFor(std::uint32_t query_id) const
 void
 AnswerCache::touch(std::uint64_t key)
 {
-    const auto it = map_.find(key);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    it->second = lru_.begin();
+    const auto it = stampOf_.find(key);
+    byStamp_.erase(it->second);
+    it->second = ++clock_;
+    byStamp_.emplace(clock_, key);
 }
 
 bool
@@ -66,7 +67,7 @@ AnswerCache::lookup(std::uint32_t query_id, Cycle now)
     if (!cfg_.enabled())
         return false;
     const std::uint64_t key = keyFor(query_id);
-    if (map_.find(key) == map_.end()) {
+    if (stampOf_.find(key) == stampOf_.end()) {
         misses_ += 1;
         rec_.record(now, ScheduleEventKind::CacheMiss, query_id, key);
         return false;
@@ -83,21 +84,22 @@ AnswerCache::insert(std::uint32_t query_id, Cycle now)
     if (!cfg_.enabled())
         return;
     const std::uint64_t key = keyFor(query_id);
-    if (map_.find(key) != map_.end()) {
+    if (stampOf_.find(key) != stampOf_.end()) {
         touch(key);
         rec_.record(now, ScheduleEventKind::CacheInsert, query_id, key,
                     1);
         return;
     }
     insertions_ += 1;
-    lru_.push_front(key);
-    map_.emplace(key, lru_.begin());
+    stampOf_.emplace(key, ++clock_);
+    byStamp_.emplace(clock_, key);
     rec_.record(now, ScheduleEventKind::CacheInsert, query_id, key, 0);
-    if (map_.size() > cfg_.capacity) {
+    if (stampOf_.size() > cfg_.capacity) {
         evictions_ += 1;
-        const std::uint64_t victim = lru_.back();
-        map_.erase(victim);
-        lru_.pop_back();
+        const auto lru = byStamp_.begin();
+        const std::uint64_t victim = lru->second;
+        byStamp_.erase(lru);
+        stampOf_.erase(victim);
         rec_.record(now, ScheduleEventKind::CacheEvict, victim);
     }
 }

@@ -19,8 +19,11 @@
  *    Keys datasets always use Exact keys regardless of mode.
  *
  * The replacement order is a pure function of the lookup/insert
- * sequence (std::list recency chain, no pointer ordering), so cache
- * behavior is bit-identical across runs and HSU_JOBS settings.
+ * sequence (recency stamps from a counter, no pointer ordering), so
+ * cache behavior is bit-identical across runs and HSU_JOBS settings.
+ * The cache holds plain values only: a copy shares nothing with its
+ * original and replays the same hits and evictions (the serving loop
+ * copies its router's cache to run ahead).
  */
 
 #ifndef HSU_SERVE_CACHE_HH
@@ -28,7 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -94,14 +97,17 @@ class AnswerCache
     std::uint64_t misses() const { return misses_; }
     std::uint64_t insertions() const { return insertions_; }
     std::uint64_t evictions() const { return evictions_; }
-    std::size_t size() const { return map_.size(); }
+    std::size_t size() const { return stampOf_.size(); }
     const AnswerCacheConfig &config() const { return cfg_; }
+
+    /** Stop recording schedule events (a run-ahead copy's cache). */
+    void detachRecorder() { rec_ = {}; }
 
   private:
     /** The cache key of one query id under (mode, algo). */
     std::uint64_t keyFor(std::uint32_t query_id) const;
 
-    /** Move a resident key to most-recently-used. */
+    /** Restamp a resident key as most-recently-used. */
     void touch(std::uint64_t key);
 
     AnswerCacheConfig cfg_;
@@ -111,9 +117,11 @@ class AnswerCache
      *  the process-wide memoized table; null when exactOnly_). */
     const std::vector<std::uint64_t> *codes_ = nullptr;
 
-    std::list<std::uint64_t> lru_; //!< front = most recent
-    std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
-        map_;
+    /** Recency: each resident key's last-use stamp, and the keys by
+     *  stamp (begin = least recently used). */
+    std::unordered_map<std::uint64_t, std::uint64_t> stampOf_;
+    std::map<std::uint64_t, std::uint64_t> byStamp_;
+    std::uint64_t clock_ = 0; //!< last stamp handed out
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

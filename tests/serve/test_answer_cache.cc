@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "serve/cache.hh"
 #include "serve/server.hh"
 
@@ -51,6 +53,38 @@ TEST(AnswerCache, ReinsertOnlyRefreshesRecency)
     cache.insert(3); // now 2 is LRU and goes
     EXPECT_FALSE(cache.lookup(2));
     EXPECT_TRUE(cache.lookup(1));
+}
+
+TEST(AnswerCache, CopyOutlivesItsOriginal)
+{
+    // A copy owns its entries: with the original gone, it hits,
+    // refreshes and evicts exactly like a twin that was never copied.
+    AnswerCacheConfig cfg;
+    cfg.capacity = 2;
+    AnswerCache twin(cfg, Algo::Btree, DatasetId::BTree10k, kPool);
+    auto original = std::make_unique<AnswerCache>(
+        cfg, Algo::Btree, DatasetId::BTree10k, kPool);
+    for (AnswerCache *c : {&twin, original.get()}) {
+        c->insert(1);
+        c->insert(2);
+    }
+    AnswerCache copy = *original;
+    original.reset();
+
+    for (AnswerCache *c : {&twin, &copy}) {
+        EXPECT_TRUE(c->lookup(1)); // refreshes 1: 2 is now LRU
+        c->insert(3);              // evicts 2
+        EXPECT_FALSE(c->lookup(2));
+        EXPECT_TRUE(c->lookup(1));
+        c->insert(2); // evicts 3
+        EXPECT_FALSE(c->lookup(3));
+        EXPECT_TRUE(c->lookup(2));
+    }
+    EXPECT_EQ(copy.size(), twin.size());
+    EXPECT_EQ(copy.hits(), twin.hits());
+    EXPECT_EQ(copy.misses(), twin.misses());
+    EXPECT_EQ(copy.insertions(), twin.insertions());
+    EXPECT_EQ(copy.evictions(), twin.evictions());
 }
 
 TEST(AnswerCache, DisabledCacheNeverHitsOrCounts)
