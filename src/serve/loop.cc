@@ -1,14 +1,53 @@
 #include "serve/loop.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <future>
 
 #include "common/logging.hh"
+#include "common/threadpool.hh"
 
 namespace hsu::serve
 {
 
 namespace
 {
+
+/** The probe that loops constructed on this thread report to. */
+thread_local SpeculationProbe *activeProbe = nullptr;
+
+/** @p requests, once @p cfg's age trigger is known to force out a
+ *  partial batch of the last one: its sub-queries reach their lanes
+ *  last, and a trigger that never fires for them would leave that
+ *  batch queued with nothing left to happen. */
+const std::vector<Request> &
+forcedStream(const LoopConfig &cfg, const std::vector<Request> &requests)
+{
+    if (requests.empty())
+        return requests;
+    const Cycle delivered = saturatingAdd(requests.back().arrivalCycle,
+                                          cfg.scatterHopCycles);
+    const Cycle wait = cfg.lanes.pipeline.batch.maxWaitCycles;
+    if (saturatingAdd(delivered, wait) == kNeverCycle) {
+        hsu_fatal("pipeline.batch.maxWaitCycles = ", wait,
+                  ": a partial batch delivered at cycle ", delivered,
+                  " would never be forced out");
+    }
+    return requests;
+}
+
+/** The memo key of @p exec's in-flight batch on @p shard. */
+SimKey
+keyOf(unsigned shard, const BatchExecutor &exec)
+{
+    SimKey key;
+    key.shard = shard;
+    key.queryIds.reserve(exec.batch().size());
+    for (const Request &r : exec.batch())
+        key.queryIds.push_back(r.queryId);
+    key.degraded = exec.degraded();
+    return key;
+}
 
 /** The router's recorder, after recording the link and merge costs:
  *  the first router event of every run. */
@@ -23,6 +62,166 @@ routerRecorder(const LoopConfig &cfg)
 
 } // namespace
 
+SpeculationProbe::SpeculationProbe(KernelCyclePredictor predict)
+    : predictor(std::move(predict))
+{
+    hsu_assert(activeProbe == nullptr, "speculation probes nest");
+    activeProbe = this;
+}
+
+SpeculationProbe::~SpeculationProbe()
+{
+    activeProbe = nullptr;
+}
+
+/**
+ * What a loop shares with its run-ahead copies. The committed loop
+ * launches and resolves its batches here, by executor slot; a copy
+ * proposes the batches it forms, and settle() turns a run-ahead's
+ * proposals into speculative simulations in the memo. Only the loop
+ * thread calls in; the workers see their task and its drop flag.
+ */
+class ServeLoop::Engine
+{
+  public:
+    Engine(const LoopConfig &config, std::size_t slots)
+        : cfg(config), pool_(config.lanes.jobs), launched_(slots),
+          cap_(pool_.numThreads()), probe_(activeProbe)
+    {
+        if (probe_ && probe_->predictor)
+            predictor_ = probe_->predictor;
+    }
+
+    /** Drops the memo, so the pool's drain skips every speculative
+     *  simulation that has not started. */
+    ~Engine()
+    {
+        for (auto &[key, spec] : memo_)
+            drop(spec);
+        if (probe_) {
+            probe_->stats.committed += stats_.committed;
+            probe_->stats.memoHits += stats_.memoHits;
+            probe_->stats.submitted += stats_.submitted;
+            probe_->stats.dropped += stats_.dropped;
+        }
+    }
+
+    Engine(const Engine &) = delete;
+    Engine &operator=(const Engine &) = delete;
+
+    const LoopConfig cfg;
+
+    /** A run-ahead can overlap something: more than one worker. */
+    bool speculates() const { return cap_ > 1; }
+
+    /** Run-ahead length, in dispatches, and the cap on speculative
+     *  simulations held in the memo: the worker count. */
+    std::size_t cap() const { return cap_; }
+
+    /** Launch the committed batch @p key on executor @p slot: take its
+     *  simulation from the memo, else submit it. */
+    void
+    launch(std::size_t slot, SimKey &&key)
+    {
+        stats_.committed += 1;
+        const auto it = memo_.find(key);
+        if (it != memo_.end()) {
+            stats_.memoHits += 1;
+            launched_[slot] = std::move(it->second.sim);
+            memo_.erase(it);
+            return;
+        }
+        launched_[slot] = submit(std::move(key), nullptr);
+    }
+
+    /** Block for executor @p slot's simulation. */
+    BatchSim resolve(std::size_t slot) { return launched_[slot].get(); }
+
+    /** Predicted kernel cycles of a run-ahead copy's batch. */
+    std::uint64_t
+    predict(const SimKey &key, std::uint64_t lane_last) const
+    {
+        return predictor_ ? predictor_(key, lane_last) : lane_last;
+    }
+
+    /** A run-ahead copy formed @p key. */
+    void propose(SimKey &&key) { proposals_.push_back(std::move(key)); }
+    std::size_t proposals() const { return proposals_.size(); }
+
+    /**
+     * End a run-ahead: drop the memo entries it no longer predicts,
+     * then submit its new proposals, nearest first, while the memo
+     * holds fewer than cap() simulations.
+     */
+    void
+    settle()
+    {
+        for (auto it = memo_.begin(); it != memo_.end();) {
+            if (std::find(proposals_.begin(), proposals_.end(),
+                          it->first) != proposals_.end()) {
+                ++it;
+                continue;
+            }
+            drop(it->second);
+            it = memo_.erase(it);
+        }
+        for (SimKey &key : proposals_) {
+            if (memo_.size() >= cap_)
+                break;
+            if (memo_.find(key) != memo_.end())
+                continue;
+            auto flag = std::make_shared<std::atomic<bool>>(false);
+            std::future<BatchSim> sim = submit(key, flag);
+            memo_.emplace(std::move(key),
+                          Speculation{std::move(flag), std::move(sim)});
+            stats_.submitted += 1;
+        }
+        proposals_.clear();
+    }
+
+  private:
+    /** A speculative simulation and the flag that skips it unstarted. */
+    struct Speculation
+    {
+        std::shared_ptr<std::atomic<bool>> dropped;
+        std::future<BatchSim> sim;
+    };
+
+    void
+    drop(Speculation &spec)
+    {
+        spec.dropped->store(true, std::memory_order_relaxed);
+        stats_.dropped += 1;
+    }
+
+    /** Simulate @p key on the pool; a set @p skip flag makes the task
+     *  return at once, unsimulated. The pool joins before cfg dies. */
+    std::future<BatchSim>
+    submit(SimKey key, std::shared_ptr<const std::atomic<bool>> skip)
+    {
+        return pool_.submit([this, key = std::move(key),
+                             skip = std::move(skip)]() {
+            if (skip && skip->load(std::memory_order_relaxed))
+                return BatchSim{};
+            const ServeKnobs knobs =
+                key.degraded ? cfg.lanes.pipeline.degrade.degradedKnobs
+                             : ServeKnobs{};
+            return simulateBatch(cfg.lanes.gpu,
+                                 cfg.shardEmitters[key.shard],
+                                 key.queryIds, knobs);
+        });
+    }
+
+    ThreadPool pool_;
+    std::vector<std::future<BatchSim>> launched_; //!< per executor slot
+    std::map<SimKey, Speculation> memo_;
+    std::vector<SimKey> proposals_; //!< of the current run-ahead
+    std::size_t cap_;
+    KernelCyclePredictor predictor_;
+    SpeculationProbe *probe_;
+    SpeculationStats stats_;
+};
+
 void
 requireNonZero(
     std::initializer_list<std::pair<const char *, std::uint64_t>> fields)
@@ -34,17 +233,22 @@ requireNonZero(
 }
 
 ServeLoop::Lane::Lane(unsigned shard_idx, ScheduleRecorder recorder,
-                      const ServerConfig &cfg, DatasetId dataset,
-                      const BatchTraceEmitter &emitter)
+                      const ServerConfig &cfg, DatasetId dataset)
     : shard(shard_idx), rec(recorder),
       pipe(cfg.pipeline, dataset, cfg.queryPoolSize, recorder)
 {
-    execs.reserve(cfg.numInstances);
-    for (unsigned i = 0; i < cfg.numInstances; ++i) {
-        execs.emplace_back(cfg.gpu, cfg.launchOverheadCycles,
-                           cfg.pipeline.degrade.degradedKnobs, emitter,
-                           recorder);
-    }
+    execs.assign(cfg.numInstances,
+                 BatchExecutor(cfg.launchOverheadCycles, cfg.gpu.numSms,
+                               recorder));
+}
+
+void
+ServeLoop::Lane::detachRecorders()
+{
+    rec = {};
+    pipe.detachRecorder();
+    for (BatchExecutor &exec : execs)
+        exec.detachRecorder();
 }
 
 std::size_t
@@ -58,8 +262,11 @@ ServeLoop::Lane::outstanding() const
 
 ServeLoop::ServeLoop(Algo algo, DatasetId dataset, const LoopConfig &cfg,
                      const std::vector<Request> &requests)
-    : cfg_(cfg), requests_(requests),
-      pool_(cfg.lanes.jobs), routerRec_(routerRecorder(cfg)),
+    : requests_(forcedStream(cfg, requests)),
+      engine_(std::make_shared<Engine>(
+          cfg, cfg.shardEmitters.size() * cfg.replicasPerShard *
+                   cfg.lanes.numInstances)),
+      cfg_(engine_->cfg), routerRec_(routerRecorder(cfg)),
       cache_(cfg.lanes.pipeline.cache, algo, dataset,
              cfg.lanes.queryPoolSize, routerRec_)
 {
@@ -70,14 +277,15 @@ ServeLoop::ServeLoop(Algo algo, DatasetId dataset, const LoopConfig &cfg,
             const ScheduleRecorder rec(
                 cfg_.lanes.scheduleLog,
                 static_cast<std::uint32_t>(lanes_.size()));
-            lanes_.emplace_back(s, rec, cfg_.lanes, dataset,
-                                cfg_.shardEmitters[s]);
+            lanes_.emplace_back(s, rec, cfg_.lanes, dataset);
         }
     }
     rrNext_.assign(shards, 0);
     report_.offered = requests_.size();
     report_.shards.resize(shards);
 }
+
+ServeLoop::~ServeLoop() = default;
 
 bool
 ServeLoop::drained() const
@@ -99,6 +307,12 @@ ServeLoop::step()
         return false;
     dispatchReady();
     resolveBusy();
+    return advance();
+}
+
+bool
+ServeLoop::advance()
+{
     // Batch formation may have drained the queues purely through
     // deadline expiry; nothing is left to schedule then.
     if (drained())
@@ -159,10 +373,14 @@ void
 ServeLoop::dispatchReady()
 {
     // Fill every idle executor whose lane has a ready batch. All sims
-    // dispatched here are submitted before anything blocks on them, so
-    // concurrently busy executors really simulate concurrently.
-    for (Lane &lane : lanes_) {
-        for (BatchExecutor &exec : lane.execs) {
+    // dispatched here are launched before anything blocks on them, so
+    // concurrently busy executors really simulate concurrently. A
+    // run-ahead copy only proposes its batches to the engine.
+    const std::size_t per_lane = cfg_.lanes.numInstances;
+    for (std::size_t l = 0; l < lanes_.size(); ++l) {
+        Lane &lane = lanes_[l];
+        for (std::size_t e = 0; e < per_lane; ++e) {
+            BatchExecutor &exec = lane.execs[e];
             if (exec.busy())
                 continue;
             if (!lane.pipe.batchReady(now_))
@@ -174,7 +392,11 @@ ServeLoop::dispatchReady()
                 subqueryResolved(r.id, false, 0, false);
             if (formed.requests.empty())
                 continue; // everything pending had expired
-            exec.dispatch(pool_, now_, std::move(formed));
+            exec.dispatch(now_, std::move(formed));
+            if (speculative_)
+                engine_->propose(keyOf(lane.shard, exec));
+            else
+                engine_->launch(l * per_lane + e, keyOf(lane.shard, exec));
         }
     }
 }
@@ -183,11 +405,51 @@ void
 ServeLoop::resolveBusy()
 {
     // Resolve in-flight completion times in lane order: blocking on
-    // the first future lets the rest keep running in the pool.
-    for (Lane &lane : lanes_) {
-        for (BatchExecutor &exec : lane.execs)
-            exec.resolve(totals_);
+    // the first future lets the rest keep running in the pool. Before
+    // each block the committed loop runs a copy of itself ahead, so
+    // the pool also simulates the batches it will dispatch next; the
+    // copy resolves on predictions instead.
+    const std::size_t per_lane = cfg_.lanes.numInstances;
+    for (std::size_t l = 0; l < lanes_.size(); ++l) {
+        Lane &lane = lanes_[l];
+        for (std::size_t e = 0; e < per_lane; ++e) {
+            BatchExecutor &exec = lane.execs[e];
+            if (!exec.busy() || exec.resolved())
+                continue;
+            BatchSim sim;
+            if (speculative_) {
+                sim.cycles = engine_->predict(keyOf(lane.shard, exec),
+                                              lane.lastKernelCycles);
+            } else {
+                runAhead();
+                sim = engine_->resolve(l * per_lane + e);
+                lane.lastKernelCycles = sim.cycles;
+            }
+            exec.resolve(sim, totals_);
+        }
     }
+}
+
+void
+ServeLoop::runAhead()
+{
+    // The copy first finishes this pass, then steps until it has
+    // dispatched cap() batches. Its predictions and its recorders
+    // touch nothing of the committed state.
+    if (!engine_->speculates())
+        return;
+    ServeLoop ahead(*this);
+    ahead.speculative_ = true;
+    ahead.routerRec_ = {};
+    ahead.cache_.detachRecorder();
+    for (Lane &lane : ahead.lanes_)
+        lane.detachRecorders();
+    ahead.resolveBusy();
+    if (ahead.advance()) {
+        while (engine_->proposals() < engine_->cap() && ahead.step()) {
+        }
+    }
+    engine_->settle();
 }
 
 Cycle

@@ -34,18 +34,33 @@
  * messages in send order, lanes and their executors in index order;
  * batch simulations fan out over an hsu::ThreadPool but are pure
  * functions resolved in lane order. Reports and schedule logs are
- * bit-identical for any HSU_JOBS (tests/shard/test_cluster.cc and
- * tests/serve/test_schedule_log.cc pin this).
+ * bit-identical for any HSU_JOBS (tests/shard/test_cluster.cc,
+ * tests/serve/test_schedule_log.cc and tests/serve/
+ * test_speculation.cc pin this).
+ *
+ * Run-ahead: a loop is a copyable committed state plus an engine that
+ * owns the worker pool and a per-run memo of batch simulations keyed
+ * by SimKey. Before the committed loop blocks on an unresolved batch,
+ * it copies its state, recording detached, and steps the copy ahead
+ * for a bounded number of dispatches on predicted kernel cycles; each
+ * batch the copy forms is simulated speculatively into the memo. The
+ * committed loop takes a simulation from the memo when the batch it
+ * formed has the same key, and submits it otherwise, so it only ever
+ * reads simulations of its own batches: a wrong prediction costs CPU,
+ * never a cycle, stat or answer. With one worker nothing can overlap
+ * and the loop never speculates.
  */
 
 #ifndef HSU_SERVE_LOOP_HH
 #define HSU_SERVE_LOOP_HH
 
+#include <compare>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <initializer_list>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -127,17 +142,68 @@ struct LoopConfig
 };
 
 /**
- * One run of the serving event loop over a request stream. All of the
- * run's state lives here: lanes, the scatter link, in-flight joins,
- * the router cache, the clock and the report being filled.
+ * The memo key of one batch simulation. Within a run the GPU config,
+ * each shard's emitter and both knob sets are fixed, so the key fixes
+ * the simulation's result.
+ */
+struct SimKey
+{
+    std::uint32_t shard = 0;
+    std::vector<std::uint32_t> queryIds; //!< launch order
+    bool degraded = false;
+
+    auto operator<=>(const SimKey &) const = default;
+};
+
+/** Predicted kernel cycles of batch @p key for a run-ahead copy, given
+ *  the kernel cycles its lane last resolved in the committed loop
+ *  (0 before the first). The default returns @p lane_last. */
+using KernelCyclePredictor = std::function<std::uint64_t(
+    const SimKey &key, std::uint64_t lane_last)>;
+
+/** What the run-ahead did, summed over the runs a probe watched. */
+struct SpeculationStats
+{
+    std::uint64_t committed = 0; //!< batches the committed loop launched
+    std::uint64_t memoHits = 0;  //!< of those, simulated ahead
+    std::uint64_t submitted = 0; //!< speculative simulations submitted
+    std::uint64_t dropped = 0;   //!< of those, never read
+};
+
+/**
+ * Test seam of the run-ahead. While a probe is alive, every ServeLoop
+ * constructed on its thread predicts with its predictor (the default
+ * when empty) and adds its counts into stats when it is destroyed.
+ * No frontend config reaches this; the probe must outlive the loops.
+ */
+struct SpeculationProbe
+{
+    explicit SpeculationProbe(KernelCyclePredictor predict = {});
+    ~SpeculationProbe();
+    SpeculationProbe(const SpeculationProbe &) = delete;
+    SpeculationProbe &operator=(const SpeculationProbe &) = delete;
+
+    KernelCyclePredictor predictor;
+    SpeculationStats stats;
+};
+
+/**
+ * One run of the serving event loop over a request stream. The run's
+ * committed state lives here and copies by value: lanes, the scatter
+ * link, in-flight joins, the router cache, the clock and the report
+ * being filled. The engine it shares with its run-ahead copies holds
+ * the config, the worker pool and the simulation memo.
  */
 class ServeLoop
 {
   public:
     /** @p requests (nondecreasing arrival order) must outlive the
-     *  loop. Schedule events of the router start here. */
+     *  loop. Schedule events of the router start here. Fatal, naming
+     *  the field, when pipeline.batch.maxWaitCycles would never force
+     *  out a partial batch of the last request. */
     ServeLoop(Algo algo, DatasetId dataset, const LoopConfig &cfg,
               const std::vector<Request> &requests);
+    ~ServeLoop();
 
     /**
      * One pass of the loop: launch every idle executor whose lane has
@@ -154,25 +220,29 @@ class ServeLoop
     ClusterReport run();
 
   private:
+    /** The config, worker pool, in-flight simulations and memo. */
+    class Engine;
+
     /** One queue and the executors behind it, serving one shard. */
     struct Lane
     {
-        /** cfg.numInstances executors bound to @p emitter, all
-         *  recording under @p recorder's lane. */
+        /** cfg.numInstances executors, all recording under
+         *  @p recorder's lane. */
         Lane(unsigned shard_idx, ScheduleRecorder recorder,
-             const ServerConfig &cfg, DatasetId dataset,
-             const BatchTraceEmitter &emitter);
-        /** Move-only, so std::vector<Lane> relocates by moving. */
-        Lane(Lane &&) = default;
+             const ServerConfig &cfg, DatasetId dataset);
 
         unsigned shard;
         ScheduleRecorder rec;
         QueryPipeline pipe;
         std::vector<BatchExecutor> execs;
+        /** Kernel cycles of the lane's last resolved batch: the
+         *  default prediction for its unresolved ones. */
+        std::uint64_t lastKernelCycles = 0;
 
         /** Queued plus in-flight sub-queries (the LeastOutstanding
          *  load signal). */
         std::size_t outstanding() const;
+        void detachRecorders();
     };
 
     /** A sub-query crossing the scatter link, due at deliverCycle. */
@@ -195,9 +265,18 @@ class ServeLoop
         Cycle readyMax = 0;    //!< latest gathered sub-answer
     };
 
+    /** A run-ahead copy: the same state, sharing the engine. */
+    ServeLoop(const ServeLoop &) = default;
+
     bool drained() const;
     void dispatchReady();
     void resolveBusy();
+    /** The rest of a pass after resolveBusy(): advance the clock,
+     *  retire, deliver and admit. False once the stream drained. */
+    bool advance();
+    /** Step a copy ahead on predicted cycles, speculating on the
+     *  batches it forms (no-op with one worker). */
+    void runAhead();
     Cycle nextEvent() const;
     void retireDone();
     void admit(const Request &req);
@@ -208,9 +287,10 @@ class ServeLoop
     void finalize(std::uint64_t id, const Join &join);
     void complete(Cycle arrival, Cycle done);
 
-    LoopConfig cfg_;
     const std::vector<Request> &requests_;
-    ThreadPool pool_;
+    std::shared_ptr<Engine> engine_;
+    const LoopConfig &cfg_; //!< the engine's
+    bool speculative_ = false; //!< a run-ahead copy
     ScheduleRecorder routerRec_;
     AnswerCache cache_;
     std::vector<Lane> lanes_;

@@ -90,47 +90,37 @@ QueryPipeline::formBatch(Cycle now, Histogram &queue_wait,
     return formed;
 }
 
-BatchExecutor::BatchExecutor(const GpuConfig &gpu,
-                             Cycle launch_overhead_cycles,
-                             const ServeKnobs &degraded_knobs,
-                             BatchTraceEmitter emitter,
-                             ScheduleRecorder recorder)
-    : gpu_(gpu), launchOverheadCycles_(launch_overhead_cycles),
-      degradedKnobs_(degraded_knobs), emitter_(std::move(emitter)),
+BatchSim
+simulateBatch(const GpuConfig &gpu, const BatchTraceEmitter &emitter,
+              const std::vector<std::uint32_t> &query_ids,
+              const ServeKnobs &knobs)
+{
+    // The emitter owns no mutable state and simulateKernel() writes a
+    // call-local StatGroup, so the result is identical no matter which
+    // thread runs it or when.
+    const std::shared_ptr<const KernelTrace> trace =
+        emitter(query_ids, knobs);
+    StatGroup stats;
+    const RunResult run = simulateKernel(gpu, trace, stats);
+    BatchSim sim;
+    sim.cycles = run.cycles;
+    sim.l1Accesses = run.l1Accesses;
+    sim.l1Misses = run.l1Misses;
+    sim.rtuBusyCycles = stats.get("rtu.busy_cycles");
+    return sim;
+}
+
+BatchExecutor::BatchExecutor(Cycle launch_overhead_cycles,
+                             unsigned num_sms, ScheduleRecorder recorder)
+    : launchOverheadCycles_(launch_overhead_cycles), numSms_(num_sms),
       rec_(recorder)
 {
-    hsu_assert(emitter_, "batch executor needs a trace emitter");
 }
 
 void
-BatchExecutor::dispatch(ThreadPool &pool, Cycle now,
-                        FormedBatch &&formed)
+BatchExecutor::dispatch(Cycle now, FormedBatch &&formed)
 {
     hsu_assert(!busy_, "dispatch on a busy instance");
-    std::vector<std::uint32_t> ids;
-    ids.reserve(formed.requests.size());
-    for (const Request &r : formed.requests)
-        ids.push_back(r.queryId);
-    const ServeKnobs knobs =
-        formed.degraded ? degradedKnobs_ : ServeKnobs{};
-    // The task is a pure function of (batch contents, knobs, config):
-    // the emitter owns no mutable state and simulateKernel() writes a
-    // task-local StatGroup, so the result is identical no matter which
-    // worker runs it or when it resolves.
-    const GpuConfig gpu = gpu_;
-    const BatchTraceEmitter emitter = emitter_;
-    pendingSim_ = pool.submit([gpu, emitter, ids, knobs]() {
-        const std::shared_ptr<const KernelTrace> trace =
-            emitter(ids, knobs);
-        StatGroup stats;
-        const RunResult run = simulateKernel(gpu, trace, stats);
-        BatchSim sim;
-        sim.cycles = run.cycles;
-        sim.l1Accesses = run.l1Accesses;
-        sim.l1Misses = run.l1Misses;
-        sim.rtuBusyCycles = stats.get("rtu.busy_cycles");
-        return sim;
-    });
     busy_ = true;
     resolved_ = false;
     dispatchCycle_ = now;
@@ -146,17 +136,15 @@ BatchExecutor::dispatch(ThreadPool &pool, Cycle now,
 }
 
 void
-BatchExecutor::resolve(SimTotals &totals)
+BatchExecutor::resolve(const BatchSim &sim, SimTotals &totals)
 {
-    if (!busy_ || resolved_)
-        return;
-    const BatchSim sim = pendingSim_.get();
+    hsu_assert(busy_ && !resolved_, "resolve without a pending batch");
     readyCycle_ = dispatchCycle_ + launchOverheadCycles_ + sim.cycles;
     resolved_ = true;
     rec_.record(readyCycle_, ScheduleEventKind::Resolve, seq_,
                 sim.cycles, readyCycle_);
     totals.kernelCycles += sim.cycles;
-    totals.smCycles += sim.cycles * gpu_.numSms;
+    totals.smCycles += sim.cycles * numSms_;
     totals.l1Accesses += sim.l1Accesses;
     totals.l1Misses += sim.l1Misses;
     totals.rtuBusyCycles += sim.rtuBusyCycles;

@@ -17,12 +17,14 @@
  *    loop, which owns the simulated clock. The answer cache is not a
  *    stage: it sits in front of routing, at the loop's router.
  *
- *  - BatchExecutor: one simulated GPU instance. dispatch() submits the
- *    batch's kernel simulation to a worker pool (a pure function of
- *    batch contents, so cycle counts are bit-identical for any
- *    HSU_JOBS); resolve() blocks for the result and accumulates the
+ *  - BatchExecutor: one simulated GPU instance's in-flight batch.
+ *    dispatch() launches a formed batch on the loop's clock; resolve()
+ *    takes the batch's kernel simulation (simulateBatch, a pure
+ *    function of batch contents, so cycle counts are bit-identical for
+ *    any HSU_JOBS), fixes the completion cycle and accumulates the
  *    memory-system counters (SimTotals) the serving reports surface
- *    (L1 hit rate, RT-unit/warp-buffer residency).
+ *    (L1 hit rate, RT-unit/warp-buffer residency). Where and when the
+ *    simulation runs is the loop's business (serve/loop).
  *
  * Determinism contract: golden reports (tests/serve/
  * test_serve_pipeline.cc) pin the composed pipeline through both
@@ -33,6 +35,10 @@
  * ScheduleLog (analysis/schedule_log) through a by-value
  * ScheduleRecorder — a null-check no-op when no log is attached — for
  * replay by the schedule linter (analysis/schedule_lint, SV rules).
+ *
+ * Both pieces are plain values: a copy replays the same decisions
+ * (the serving loop copies its lanes to run ahead, recording
+ * detached).
  */
 
 #ifndef HSU_SERVE_PIPELINE_HH
@@ -40,13 +46,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <vector>
 
 #include "analysis/schedule_log.hh"
 #include "common/stats.hh"
-#include "common/threadpool.hh"
 #include "search/runner.hh"
 #include "serve/arrivals.hh"
 #include "serve/batcher.hh"
@@ -153,6 +157,9 @@ class QueryPipeline
 
     const PipelineStats &stats() const { return stats_; }
 
+    /** Stop recording schedule events (a run-ahead copy's lane). */
+    void detachRecorder() { rec_ = {}; }
+
   private:
     PipelineConfig cfg_;
     DatasetId dataset_;
@@ -193,30 +200,37 @@ using BatchTraceEmitter =
         const std::vector<std::uint32_t> &query_ids,
         const ServeKnobs &knobs)>;
 
+/** Emit @p query_ids' batch trace with @p emitter and simulate it on
+ *  @p gpu: the one batch simulation of every serving run, a pure,
+ *  thread-safe function of its arguments. */
+BatchSim simulateBatch(const GpuConfig &gpu,
+                       const BatchTraceEmitter &emitter,
+                       const std::vector<std::uint32_t> &query_ids,
+                       const ServeKnobs &knobs);
+
 /**
- * One simulated GPU instance executing formed batches. The kernel
- * simulation runs on a worker pool; dispatch() never blocks, resolve()
- * does — callers dispatch every idle instance first so concurrently
- * busy instances really simulate concurrently.
+ * One simulated GPU instance's in-flight batch, on the loop's clock.
+ * The loop simulates each dispatched batch (simulateBatch) and hands
+ * the result to resolve(); until then the completion cycle is unknown.
  */
 class BatchExecutor
 {
   public:
-    BatchExecutor(const GpuConfig &gpu, Cycle launch_overhead_cycles,
-                  const ServeKnobs &degraded_knobs,
-                  BatchTraceEmitter emitter,
+    BatchExecutor(Cycle launch_overhead_cycles, unsigned num_sms,
                   ScheduleRecorder recorder = {});
 
     /** Launch @p formed at @p now. @pre !busy(). */
-    void dispatch(ThreadPool &pool, Cycle now, FormedBatch &&formed);
+    void dispatch(Cycle now, FormedBatch &&formed);
 
-    /** Block for an unresolved in-flight simulation, fix readyCycle(),
-     *  and add its BatchSim into @p totals. No-op when idle/resolved. */
-    void resolve(SimTotals &totals);
+    /** Fix readyCycle() from the batch's simulation @p sim and add it
+     *  into @p totals. @pre busy() and !resolved(). */
+    void resolve(const BatchSim &sim, SimTotals &totals);
 
     bool busy() const { return busy_; }
+    /** The in-flight batch's completion cycle is known. */
+    bool resolved() const { return resolved_; }
     /** Completion cycle (dispatch + launch overhead + kernel).
-     *  @pre busy() and resolved by resolve(). */
+     *  @pre busy() and resolved(). */
     Cycle readyCycle() const { return readyCycle_; }
     /** The in-flight batch, in launch order. @pre busy(). */
     const std::vector<Request> &batch() const { return batch_; }
@@ -225,11 +239,12 @@ class BatchExecutor
     /** Retire the completed batch and go idle. */
     void finish();
 
+    /** Stop recording schedule events (a run-ahead copy's executor). */
+    void detachRecorder() { rec_ = {}; }
+
   private:
-    GpuConfig gpu_;
     Cycle launchOverheadCycles_;
-    ServeKnobs degradedKnobs_;
-    BatchTraceEmitter emitter_;
+    unsigned numSms_;
     ScheduleRecorder rec_;
 
     bool busy_ = false;
@@ -237,7 +252,6 @@ class BatchExecutor
     Cycle dispatchCycle_ = 0;
     Cycle readyCycle_ = 0;
     std::uint64_t seq_ = 0; //!< in-flight batch's pipeline seq
-    std::future<BatchSim> pendingSim_;
     std::vector<Request> batch_;
     bool degraded_ = false;
 };

@@ -30,7 +30,8 @@
  * sends every request to it. The loop is sequential in simulated
  * time, but the batch simulations fan out across an hsu::ThreadPool —
  * every instance dispatched at the current event executes its kernel
- * simulation concurrently. Service times are pure functions of batch
+ * simulation concurrently, beside the batches a copy of the loop ran
+ * ahead to (serve/loop). Service times are pure functions of batch
  * contents, so results are bit-identical for any HSU_JOBS value.
  */
 

@@ -6,7 +6,8 @@
  * replicas per shard, as a setup of the serving event loop
  * (serve/loop) that serve::Server also runs: numShards x
  * replicasPerShard lanes, each one serve::QueryPipeline with one
- * serve::BatchExecutor bound to its shard's sub-index. The router
+ * serve::BatchExecutor whose batches run on its shard's sub-index
+ * (the loop keeps one batch emitter per shard). The router
  * fans each request that misses its answer cache out to the shards
  * its query can touch (shard/shard_index routeQuery: broadcast for
  * kNN, range-pruned for radius queries, single-owner for key

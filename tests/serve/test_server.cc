@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "serve/server.hh"
 
 namespace hsu::serve
@@ -75,6 +77,29 @@ TEST(Server, ConfigCheckNamesTheBadField)
     cfg.pipeline.degrade.shedWater = 0;
     EXPECT_DEATH(Server(Algo::Btree, DatasetId::BTree10k, cfg),
                  "ServerConfig.pipeline.degrade.shedWater = 0");
+}
+
+TEST(Server, NeverForcedBatchWaitIsRejected)
+{
+    // Three requests under a 32-wide batch leave a partial batch
+    // queued once the stream drains. A wait that saturates at
+    // kNeverCycle never forces it out, so the run is refused up front
+    // instead of wedging the loop.
+    ServerConfig cfg = smallConfig(1);
+    cfg.pipeline.batch.maxBatch = 32;
+    std::vector<Request> reqs(3);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        reqs[i].id = i;
+        reqs[i].queryId = static_cast<std::uint32_t>(i);
+        reqs[i].arrivalCycle = 100 + i;
+    }
+    for (const Cycle wait : {kNeverCycle, kNeverCycle - 50}) {
+        cfg.pipeline.batch.maxWaitCycles = wait;
+        Server server(Algo::Btree, DatasetId::BTree10k, cfg);
+        EXPECT_DEATH(server.run(reqs),
+                     "pipeline.batch.maxWaitCycles = " +
+                         std::to_string(wait));
+    }
 }
 
 TEST(Server, RequestConservation)

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "serve/server.hh"
 #include "shard/cluster.hh"
 
@@ -142,6 +144,29 @@ TEST(Cluster, ConfigCheckNamesTheBadField)
     cfg = smallCluster(0, 1);
     EXPECT_DEATH(ClusterServer(Algo::Btree, DatasetId::BTree10k, cfg),
                  "ClusterConfig.numShards = 0");
+}
+
+TEST(Cluster, NeverForcedBatchWaitIsRejected)
+{
+    // The last sub-query reaches its lane a scatter hop after its
+    // request; a wait that saturates from there never forces out the
+    // partial batch it joins, so the run is refused up front.
+    ClusterConfig cfg = smallCluster(2, 1);
+    cfg.pipeline.batch.maxBatch = 32;
+    cfg.link.latencyCycles = 500;
+    std::vector<Request> reqs(3);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        reqs[i].id = i;
+        reqs[i].queryId = static_cast<std::uint32_t>(i);
+        reqs[i].arrivalCycle = 100 + i;
+    }
+    for (const Cycle wait : {kNeverCycle, kNeverCycle - 50}) {
+        cfg.pipeline.batch.maxWaitCycles = wait;
+        ClusterServer cluster(Algo::Btree, DatasetId::BTree10k, cfg);
+        EXPECT_DEATH(cluster.run(reqs),
+                     "pipeline.batch.maxWaitCycles = " +
+                         std::to_string(wait));
+    }
 }
 
 TEST(Cluster, BitIdenticalAcrossJobs)
