@@ -285,8 +285,6 @@ ServeLoop::ServeLoop(Algo algo, DatasetId dataset, const LoopConfig &cfg,
     report_.shards.resize(shards);
 }
 
-ServeLoop::~ServeLoop() = default;
-
 bool
 ServeLoop::drained() const
 {

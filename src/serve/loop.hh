@@ -203,7 +203,6 @@ class ServeLoop
      *  out a partial batch of the last request. */
     ServeLoop(Algo algo, DatasetId dataset, const LoopConfig &cfg,
               const std::vector<Request> &requests);
-    ~ServeLoop();
 
     /**
      * One pass of the loop: launch every idle executor whose lane has

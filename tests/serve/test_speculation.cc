@@ -13,7 +13,9 @@
 
 #include <cstdio>
 #include <map>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "serve/loop.hh"
 #include "serve/server.hh"
