@@ -12,8 +12,6 @@
  * baseline.
  */
 
-#include <memory>
-
 #include "bench_common.hh"
 #include "search/bvhnn.hh"
 
@@ -40,7 +38,7 @@ main()
     // Emission is serial per dataset; the three sims per dataset are
     // independent and fan across the worker pool.
     std::vector<CaseInfo> cases;
-    std::vector<SimJob> jobs;
+    std::vector<KernelTrace> traces;
     for (const DatasetId id : datasetsForAlgo(Algo::Bvhnn)) {
         const DatasetInfo &info = datasetInfo(id);
         const RunnerOptions opts = bench::benchOptions(info);
@@ -73,30 +71,25 @@ main()
                          static_cast<double>(bin_run.boxTests);
         cases.push_back(std::move(c));
 
-        SimJob job;
-        job.kind = SimJob::Kind::Trace;
-        job.gpu = base_cfg;
-        job.trace = std::make_shared<const KernelTrace>(
-            std::move(base_run.trace));
-        jobs.push_back(job);
-        job.gpu = cfg;
-        job.trace = std::make_shared<const KernelTrace>(
-            std::move(bin_run.trace));
-        jobs.push_back(job);
-        job.trace = std::make_shared<const KernelTrace>(
-            std::move(wide_run.trace));
-        jobs.push_back(std::move(job));
+        traces.push_back(std::move(base_run.trace));
+        traces.push_back(std::move(bin_run.trace));
+        traces.push_back(std::move(wide_run.trace));
     }
-    const std::vector<SimJobResult> results =
-        runJobsParallel(std::move(jobs));
+    // Every third trace is a baseline; the other two run on the HSU.
+    const std::vector<RunResult> results =
+        parallelMap(traces.size(), [&](std::size_t i) {
+            StatGroup stats;
+            return simulateKernel(i % 3 == 0 ? base_cfg : cfg, traces[i],
+                                  stats);
+        });
 
     Table t("Ablation: BVH-NN binary vs BVH4 traversal (HSU speedup "
             "over non-RT baseline)",
             {"Dataset", "binary", "BVH4", "BVH4 box tests / binary"});
     for (std::size_t i = 0; i < cases.size(); ++i) {
-        const RunResult &base = results[3 * i].run;
-        const RunResult &bin = results[3 * i + 1].run;
-        const RunResult &w4 = results[3 * i + 2].run;
+        const RunResult &base = results[3 * i];
+        const RunResult &bin = results[3 * i + 1];
+        const RunResult &w4 = results[3 * i + 2];
         t.addRow({cases[i].label,
                   Table::num(static_cast<double>(base.cycles) /
                                  static_cast<double>(bin.cycles),

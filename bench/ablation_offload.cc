@@ -12,6 +12,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <utility>
 
 #include "bench_common.hh"
 #include "common/argparse.hh"
@@ -53,51 +54,47 @@ main(int argc, char **argv)
         const RunnerOptions opts = bench::benchOptions(info);
         const std::string label = workloadLabel(algo, info);
 
-        // One shared emission, one lowering per sweep point. The
-        // lowered traces are created inside the workers (Kind::SemLower)
-        // so the five sweep points hold one semantic trace between
-        // them, not five pre-lowered copies.
+        // One shared emission, one lowering per sweep point. Each
+        // worker lowers the semantic trace itself, so the five sweep
+        // points hold one semantic trace between them, not five
+        // pre-lowered copies.
         const std::shared_ptr<const SemKernelTrace> sem =
             emitSemanticShared(algo, id, opts);
-        std::vector<SimJob> jobs;
-        for (const double f : kFractions) {
-            SimJob job;
-            job.kind = SimJob::Kind::SemLower;
-            job.gpu = gpu;
-            job.sem = sem;
-            job.lowering = Lowering::partial(f, gpu.datapath);
-            jobs.push_back(std::move(job));
-        }
-        const std::vector<SimJobResult> res =
-            runJobsParallel(std::move(jobs));
-        std::vector<double> realized;
-        for (const SimJobResult &r : res)
-            realized.push_back(r.traceStats.semanticOffloadFraction());
+        const std::vector<std::pair<double, RunResult>> res = parallelMap(
+            std::size(kFractions),
+            [&](std::size_t i) {
+                const KernelTrace trace = lowerTrace(
+                    *sem, Lowering::partial(kFractions[i], gpu.datapath));
+                StatGroup stats;
+                return std::pair{
+                    analyzeTrace(trace).semanticOffloadFraction(),
+                    simulateKernel(gpu, trace, stats)};
+            },
+            jobs);
 
         // Endpoint cross-check against the two-point API.
         StatGroup base_stats, hsu_stats;
         const RunResult base =
             runBaseOnly(algo, id, gpu, opts, base_stats);
         const RunResult full = runHsuOnly(algo, id, gpu, opts, hsu_stats);
-        if (res.front().run.cycles != base.cycles ||
-            res.back().run.cycles != full.cycles) {
+        if (res.front().second.cycles != base.cycles ||
+            res.back().second.cycles != full.cycles) {
             std::cerr << label
                       << ": endpoint mismatch (f=0: "
-                      << res.front().run.cycles << " vs baseline "
-                      << base.cycles << ", f=1: " << res.back().run.cycles
+                      << res.front().second.cycles << " vs baseline "
+                      << base.cycles << ", f=1: " << res.back().second.cycles
                       << " vs HSU " << full.cycles << ")\n";
             endpoints_ok = false;
         }
 
         for (std::size_t i = 0; i < std::size(kFractions); ++i) {
+            const auto &[realized, run] = res[i];
             const double speedup =
-                res[i].run.cycles
-                    ? static_cast<double>(base.cycles) /
-                          static_cast<double>(res[i].run.cycles)
-                    : 0.0;
+                run.cycles ? static_cast<double>(base.cycles) /
+                                 static_cast<double>(run.cycles)
+                           : 0.0;
             t.addRow({label, Table::num(kFractions[i], 2),
-                      Table::pct(realized[i]),
-                      std::to_string(res[i].run.cycles),
+                      Table::pct(realized), std::to_string(run.cycles),
                       Table::num(speedup, 2) + "x"});
         }
     }

@@ -10,8 +10,6 @@
  * compares SAH cost, traversal work, and end-to-end HSU speedup.
  */
 
-#include <memory>
-
 #include "bench_common.hh"
 #include "search/bvhnn.hh"
 
@@ -43,7 +41,7 @@ main()
     // kernels are bench-local, not memoized); the three sims per
     // dataset are independent and fan across the worker pool.
     std::vector<CaseInfo> cases;
-    std::vector<SimJob> jobs;
+    std::vector<KernelTrace> traces;
     for (const DatasetId id : datasetsForAlgo(Algo::Bvhnn)) {
         const DatasetInfo &info = datasetInfo(id);
         const RunnerOptions opts = bench::benchOptions(info);
@@ -81,30 +79,25 @@ main()
                          static_cast<double>(morton_run.boxTests);
         cases.push_back(std::move(c));
 
-        SimJob job;
-        job.kind = SimJob::Kind::Trace;
-        job.gpu = base_cfg;
-        job.trace = std::make_shared<const KernelTrace>(
-            std::move(base_run.trace));
-        jobs.push_back(job);
-        job.gpu = cfg;
-        job.trace = std::make_shared<const KernelTrace>(
-            std::move(morton_run.trace));
-        jobs.push_back(job);
-        job.trace = std::make_shared<const KernelTrace>(
-            std::move(sah_run.trace));
-        jobs.push_back(std::move(job));
+        traces.push_back(std::move(base_run.trace));
+        traces.push_back(std::move(morton_run.trace));
+        traces.push_back(std::move(sah_run.trace));
     }
-    const std::vector<SimJobResult> results =
-        runJobsParallel(std::move(jobs));
+    // Every third trace is a baseline; the other two run on the HSU.
+    const std::vector<RunResult> results =
+        parallelMap(traces.size(), [&](std::size_t i) {
+            StatGroup stats;
+            return simulateKernel(i % 3 == 0 ? base_cfg : cfg, traces[i],
+                                  stats);
+        });
 
     Table t("Ablation: Morton LBVH vs binned-SAH BVH (BVH-NN, HSU)",
             {"Dataset", "SAH cost (LBVH)", "SAH cost (SAH)",
              "box tests ratio", "speedup LBVH", "speedup SAH"});
     for (std::size_t i = 0; i < cases.size(); ++i) {
-        const RunResult &base = results[3 * i].run;
-        const RunResult &mr = results[3 * i + 1].run;
-        const RunResult &sr = results[3 * i + 2].run;
+        const RunResult &base = results[3 * i];
+        const RunResult &mr = results[3 * i + 1];
+        const RunResult &sr = results[3 * i + 2];
         t.addRow({cases[i].label, Table::num(cases[i].mortonSah, 1),
                   Table::num(cases[i].sahSah, 1),
                   Table::num(cases[i].boxTestRatio, 3),

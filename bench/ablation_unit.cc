@@ -26,24 +26,19 @@ main()
 
     // One baseline + three HSU-variant sims per workload, all
     // independent: fan the whole grid across the worker pool.
-    std::vector<SimJob> jobs;
-    for (const auto &[algo, id] : cases) {
-        const RunnerOptions opts = bench::benchOptions(datasetInfo(id));
-        SimJob job;
-        job.algo = algo;
-        job.dataset = id;
-        job.opts = opts;
-        job.gpu = bench::defaultGpu();
-        job.kind = SimJob::Kind::BaseOnly;
-        jobs.push_back(job);
-        job.kind = SimJob::Kind::HsuOnly;
-        for (const GpuConfig &cfg : variants) {
-            job.gpu = cfg;
-            jobs.push_back(job);
-        }
-    }
-    const std::vector<SimJobResult> results =
-        runJobsParallel(std::move(jobs));
+    const std::size_t runs = 1 + std::size(variants);
+    const std::vector<RunResult> results =
+        parallelMap(std::size(cases) * runs, [&](std::size_t i) {
+            const auto &[algo, id] = cases[i / runs];
+            const RunnerOptions opts =
+                bench::benchOptions(datasetInfo(id));
+            StatGroup stats;
+            if (i % runs == 0)
+                return runBaseOnly(algo, id, bench::defaultGpu(), opts,
+                                   stats);
+            return runHsuOnly(algo, id, variants[i % runs - 1], opts,
+                              stats);
+        });
 
     Table t("Ablation: fetch merging and scheduler policy (HSU speedup "
             "over the matching non-RT baseline)",
@@ -52,14 +47,14 @@ main()
 
     std::size_t slot = 0;
     for (const auto &[algo, id] : cases) {
-        const RunResult &base = results[slot++].run;
+        const RunResult &base = results[slot++];
         auto speedup = [&](const RunResult &r) {
             return static_cast<double>(base.cycles) /
                    static_cast<double>(r.cycles);
         };
-        const double dflt = speedup(results[slot++].run);
-        const double merge_off = speedup(results[slot++].run);
-        const double round_robin = speedup(results[slot++].run);
+        const double dflt = speedup(results[slot++]);
+        const double merge_off = speedup(results[slot++]);
+        const double round_robin = speedup(results[slot++]);
         t.addRow({workloadLabel(algo, datasetInfo(id)),
                   Table::num(dflt, 3), Table::num(merge_off, 3),
                   Table::num(round_robin, 3)});

@@ -20,6 +20,7 @@
 #include "common/logging.hh"
 #include "common/phase_timer.hh"
 #include "common/table.hh"
+#include "common/threadpool.hh"
 #include "search/runner.hh"
 
 namespace hsu::bench

@@ -18,35 +18,29 @@ main()
     Table t("Fig 10: GGNN speedup vs non-RT baseline at datapath widths",
             {"Dataset", "w=4", "w=8", "w=16", "w=32"});
 
-    // One BaseOnly + four HsuOnly jobs per dataset, all independent:
-    // fan the whole sweep across the pool and consume by index.
+    // One baseline + four HSU runs per dataset, all independent: fan
+    // the whole sweep across the pool and consume by index.
     const std::vector<DatasetId> ids = datasetsForAlgo(Algo::Ggnn);
-    std::vector<SimJob> jobs;
-    for (const DatasetId id : ids) {
-        const RunnerOptions opts = bench::benchOptions(datasetInfo(id));
-        SimJob base;
-        base.kind = SimJob::Kind::BaseOnly;
-        base.algo = Algo::Ggnn;
-        base.dataset = id;
-        base.gpu = bench::defaultGpu();
-        base.opts = opts;
-        jobs.push_back(base);
-        for (const unsigned w : widths) {
-            SimJob job = base;
-            job.kind = SimJob::Kind::HsuOnly;
-            job.gpu.datapath.euclidWidth = w;
-            jobs.push_back(std::move(job));
-        }
-    }
-    const std::vector<SimJobResult> res =
-        runJobsParallel(std::move(jobs));
+    const std::size_t runs = 1 + std::size(widths);
+    const std::vector<RunResult> res =
+        parallelMap(ids.size() * runs, [&](std::size_t i) {
+            const DatasetId id = ids[i / runs];
+            const RunnerOptions opts =
+                bench::benchOptions(datasetInfo(id));
+            GpuConfig gpu = bench::defaultGpu();
+            StatGroup stats;
+            if (i % runs == 0)
+                return runBaseOnly(Algo::Ggnn, id, gpu, opts, stats);
+            gpu.datapath.euclidWidth = widths[i % runs - 1];
+            return runHsuOnly(Algo::Ggnn, id, gpu, opts, stats);
+        });
 
     std::size_t k = 0;
     for (const DatasetId id : ids) {
-        const RunResult &base = res[k++].run;
+        const RunResult &base = res[k++];
         std::vector<std::string> row{datasetInfo(id).abbr};
         for (std::size_t w = 0; w < std::size(widths); ++w) {
-            const RunResult &hsu = res[k++].run;
+            const RunResult &hsu = res[k++];
             row.push_back(Table::num(
                 static_cast<double>(base.cycles) /
                     static_cast<double>(hsu.cycles),

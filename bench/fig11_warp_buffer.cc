@@ -21,32 +21,27 @@ sweep(Algo algo, const char *title)
     Table t(title, {"Dataset", "wb=1", "wb=4", "wb=8", "wb=16"});
 
     const std::vector<DatasetId> ids = datasetsForAlgo(algo);
-    std::vector<SimJob> jobs;
-    for (const DatasetId id : ids) {
-        SimJob base;
-        base.kind = SimJob::Kind::BaseOnly;
-        base.algo = algo;
-        base.dataset = id;
-        base.gpu = bench::defaultGpu();
-        base.opts = bench::benchOptions(datasetInfo(id));
-        jobs.push_back(base);
-        for (const unsigned wb : sizes) {
-            SimJob job = base;
-            job.kind = SimJob::Kind::HsuOnly;
-            job.gpu.warpBufferSize = wb;
-            jobs.push_back(std::move(job));
-        }
-    }
-    const std::vector<SimJobResult> res =
-        runJobsParallel(std::move(jobs));
+    const std::size_t runs = 1 + std::size(sizes);
+    const std::vector<RunResult> res =
+        parallelMap(ids.size() * runs, [&](std::size_t i) {
+            const DatasetId id = ids[i / runs];
+            const RunnerOptions opts =
+                bench::benchOptions(datasetInfo(id));
+            GpuConfig gpu = bench::defaultGpu();
+            StatGroup stats;
+            if (i % runs == 0)
+                return runBaseOnly(algo, id, gpu, opts, stats);
+            gpu.warpBufferSize = sizes[i % runs - 1];
+            return runHsuOnly(algo, id, gpu, opts, stats);
+        });
 
     std::size_t k = 0;
     for (const DatasetId id : ids) {
-        const RunResult &base = res[k++].run;
+        const RunResult &base = res[k++];
         std::vector<std::string> row{
             workloadLabel(algo, datasetInfo(id))};
         for (std::size_t s = 0; s < std::size(sizes); ++s) {
-            const RunResult &hsu = res[k++].run;
+            const RunResult &hsu = res[k++];
             row.push_back(Table::num(
                 static_cast<double>(base.cycles) /
                     static_cast<double>(hsu.cycles),

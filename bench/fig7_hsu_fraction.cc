@@ -18,24 +18,19 @@ main()
             {"Workload", "Offloadable fraction"});
 
     const auto work = bench::allWorkloads();
-    std::vector<SimJob> jobs;
-    jobs.reserve(work.size());
-    for (const auto &[algo, id] : work) {
-        SimJob job;
-        job.kind = SimJob::Kind::BaseOnly;
-        job.algo = algo;
-        job.dataset = id;
-        job.gpu = gpu;
-        job.opts = bench::benchOptions(datasetInfo(id));
-        jobs.push_back(std::move(job));
-    }
-    const std::vector<SimJobResult> res =
-        runJobsParallel(std::move(jobs));
+    const std::vector<RunResult> res =
+        parallelMap(work.size(), [&](std::size_t i) {
+            const auto &[algo, id] = work[i];
+            StatGroup stats;
+            return runBaseOnly(algo, id, gpu,
+                               bench::benchOptions(datasetInfo(id)),
+                               stats);
+        });
 
     for (std::size_t i = 0; i < work.size(); ++i) {
         const auto &[algo, id] = work[i];
         t.addRow({workloadLabel(algo, datasetInfo(id)),
-                  Table::pct(res[i].run.offloadableFraction)});
+                  Table::pct(res[i].offloadableFraction)});
     }
     t.print(std::cout);
     return 0;

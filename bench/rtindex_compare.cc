@@ -7,8 +7,6 @@
  * lookup speedup and a 9:1 leaf-memory advantage at 163,840 lookups.
  */
 
-#include <memory>
-
 #include "bench_common.hh"
 #include "common/argparse.hh"
 #include "search/rtindex.hh"
@@ -48,19 +46,16 @@ main(int argc, char **argv)
     auto run_key = index.run(probes, KernelVariant::Hsu);
 
     // Both variants' sims are independent: fan them across the pool.
-    std::vector<SimJob> jobs(2);
-    jobs[0].kind = SimJob::Kind::Trace;
-    jobs[0].gpu = cfg;
-    jobs[0].trace =
-        std::make_shared<const KernelTrace>(std::move(run_tri.trace));
-    jobs[1].kind = SimJob::Kind::Trace;
-    jobs[1].gpu = cfg;
-    jobs[1].trace =
-        std::make_shared<const KernelTrace>(std::move(run_key.trace));
-    const std::vector<SimJobResult> results =
-        runJobsParallel(std::move(jobs));
-    const RunResult &r_tri = results[0].run;
-    const RunResult &r_key = results[1].run;
+    const KernelTrace *traces[] = {&run_tri.trace, &run_key.trace};
+    const std::vector<RunResult> results = parallelMap(
+        std::size(traces),
+        [&](std::size_t i) {
+            StatGroup stats;
+            return simulateKernel(cfg, *traces[i], stats);
+        },
+        num_jobs);
+    const RunResult &r_tri = results[0];
+    const RunResult &r_key = results[1];
 
     t.addRow({"triangle keys (RT)",
               std::to_string(run_tri.leafBytesPerKey),

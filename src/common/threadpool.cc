@@ -4,10 +4,23 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/audit.hh"
 #include "common/logging.hh"
 
 namespace hsu
 {
+
+namespace
+{
+
+// parallelMap is a header template; its one registration lives here.
+[[maybe_unused]] HSU_AUDIT_NONDET_SOURCE(
+    kStatMergeAudit, audit::NondetKind::FloatAccumulation,
+    "threadpool.hh:parallelMap",
+    "futures are joined in index order, so floating-point stat merges "
+    "see a fixed accumulation order regardless of worker scheduling");
+
+} // namespace
 
 unsigned
 defaultJobs()

@@ -1,7 +1,8 @@
 /**
  * @file
  * Fixed-size worker pool for fanning independent simulations across
- * cores.
+ * cores, and parallelMap(), the one fan-out every simulation fleet
+ * goes through.
  *
  * Design notes:
  *  - std::jthread workers woken through a condition_variable_any keyed
@@ -90,6 +91,35 @@ class ThreadPool
     bool accepting_ = true;
     std::vector<std::jthread> workers_;
 };
+
+/**
+ * Call @p fn(i) for every i < @p n on one pool of @p num_threads
+ * workers (0 -> defaultJobs()) and return the results in index order,
+ * whichever worker ran which call. Calls run concurrently, so @p fn
+ * must be safe to call from several threads at once. If calls throw,
+ * the exception of the lowest such index is rethrown once the pool has
+ * drained: every other call has finished by then.
+ */
+template <typename Fn>
+std::vector<std::invoke_result_t<Fn &, std::size_t>>
+parallelMap(std::size_t n, Fn fn, unsigned num_threads = 0)
+{
+    using Result = std::invoke_result_t<Fn &, std::size_t>;
+    std::vector<std::future<Result>> futures;
+    futures.reserve(n);
+    {
+        ThreadPool pool(num_threads);
+        for (std::size_t i = 0; i < n; ++i)
+            futures.push_back(pool.submit([&fn, i] { return fn(i); }));
+    }
+    // Joining in index order fixes the order results (and anything a
+    // caller accumulates from them) are seen in.
+    std::vector<Result> results;
+    results.reserve(n);
+    for (auto &f : futures)
+        results.push_back(f.get());
+    return results;
+}
 
 } // namespace hsu
 

@@ -23,7 +23,6 @@
 #endif
 
 #include "analysis/trace_lint.hh"
-#include "common/audit.hh"
 #include "common/logging.hh"
 #include "common/memo.hh"
 #include "common/phase_timer.hh"
@@ -575,13 +574,6 @@ maybeLintEmission([[maybe_unused]] const SemKernelTrace &sem,
 #endif
 }
 
-[[maybe_unused]] HSU_AUDIT_NONDET_SOURCE(
-    kStatMergeAudit, audit::NondetKind::FloatAccumulation,
-    "runner.cc:runJobsParallel",
-    "futures are joined in submission order, so floating-point stat "
-    "merges see a fixed accumulation order regardless of worker "
-    "scheduling");
-
 } // namespace
 
 SemKernelTrace
@@ -771,6 +763,14 @@ emitBatchTrace(Algo algo, DatasetId dataset, KernelVariant variant,
                           query_ids, pool_size, knobs);
 }
 
+namespace
+{
+
+/**
+ * Simulate one (algorithm, dataset) experiment under an explicit
+ * lowering. The GPU config is used as given: the caller enables the RT
+ * unit when the lowering emits CISC instructions.
+ */
 RunResult
 runLowered(Algo algo, DatasetId dataset, const GpuConfig &gpu,
            const RunnerOptions &opts, const Lowering &lowering,
@@ -786,6 +786,8 @@ runLowered(Algo algo, DatasetId dataset, const GpuConfig &gpu,
                  "lowering must preserve the warp count");
     return simulateKernel(gpu, trace, stats);
 }
+
+} // namespace
 
 RunResult
 runHsuOnly(Algo algo, DatasetId dataset, const GpuConfig &gpu,
@@ -820,80 +822,19 @@ runWorkload(Algo algo, DatasetId dataset, const GpuConfig &gpu,
     return out;
 }
 
-std::vector<SimJobResult>
-runJobsParallel(std::vector<SimJob> jobs, unsigned num_threads)
-{
-    ThreadPool pool(num_threads);
-    std::vector<std::future<SimJobResult>> futures;
-    futures.reserve(jobs.size());
-    for (SimJob &job : jobs) {
-        futures.push_back(pool.submit([job = std::move(job)]() {
-            SimJobResult res;
-            switch (job.kind) {
-              case SimJob::Kind::Workload:
-                res.workload = runWorkload(job.algo, job.dataset,
-                                           job.gpu, job.opts);
-                break;
-              case SimJob::Kind::BaseOnly:
-                res.run = runBaseOnly(job.algo, job.dataset, job.gpu,
-                                      job.opts, res.stats);
-                break;
-              case SimJob::Kind::HsuOnly:
-                res.run = runHsuOnly(job.algo, job.dataset, job.gpu,
-                                     job.opts, res.stats);
-                break;
-              case SimJob::Kind::Trace:
-                hsu_assert(job.trace, "Kind::Trace job without a trace");
-                res.run = simulateKernel(job.gpu, job.trace, res.stats);
-                break;
-              case SimJob::Kind::SemLower: {
-                hsu_assert(job.sem, "Kind::SemLower job without a sem "
-                                    "trace");
-                // The lowered trace lives only inside this worker: N
-                // in-flight lowerings of one sweep share a single
-                // semantic trace instead of N pre-lowered copies.
-                const auto trace = std::make_shared<const KernelTrace>(
-                    lowerTrace(*job.sem, job.lowering));
-                res.traceStats = analyzeTrace(*trace);
-                res.run = simulateKernel(job.gpu, trace, res.stats);
-                break;
-              }
-            }
-            return res;
-        }));
-    }
-    // Collect in submission order: results are deterministic no matter
-    // which worker ran which job.
-    std::vector<SimJobResult> results;
-    results.reserve(futures.size());
-    for (auto &f : futures)
-        results.push_back(f.get());
-    return results;
-}
-
 std::vector<WorkloadResult>
 runWorkloadsParallel(const std::vector<std::pair<Algo, DatasetId>> &work,
                      const GpuConfig &gpu, double scale,
                      unsigned num_threads)
 {
-    std::vector<SimJob> jobs;
-    jobs.reserve(work.size());
-    for (const auto &[algo, dataset] : work) {
-        SimJob job;
-        job.kind = SimJob::Kind::Workload;
-        job.algo = algo;
-        job.dataset = dataset;
-        job.gpu = gpu;
-        job.opts = optionsFor(datasetInfo(dataset), scale);
-        jobs.push_back(std::move(job));
-    }
-    std::vector<SimJobResult> res =
-        runJobsParallel(std::move(jobs), num_threads);
-    std::vector<WorkloadResult> out;
-    out.reserve(res.size());
-    for (auto &r : res)
-        out.push_back(std::move(r.workload));
-    return out;
+    return parallelMap(
+        work.size(),
+        [&](std::size_t i) {
+            const auto &[algo, dataset] = work[i];
+            return runWorkload(algo, dataset, gpu,
+                               optionsFor(datasetInfo(dataset), scale));
+        },
+        num_threads);
 }
 
 } // namespace hsu

@@ -30,7 +30,6 @@
 #include "sim/config.hh"
 #include "sim/gpu.hh"
 #include "sim/lower.hh"
-#include "sim/trace_stats.hh"
 #include "workloads/datasets.hh"
 
 namespace hsu
@@ -132,91 +131,30 @@ emitSemanticShared(Algo algo, DatasetId dataset,
                    const RunnerOptions &opts);
 
 /**
- * Simulate one (algorithm, dataset) experiment under an explicit
- * lowering. The GPU config is used as given (callers enable the RT
- * unit when the lowering emits CISC instructions); runBaseOnly /
- * runHsuOnly are the two-point conveniences over this.
- */
-RunResult runLowered(Algo algo, DatasetId dataset, const GpuConfig &gpu,
-                     const RunnerOptions &opts, const Lowering &lowering,
-                     StatGroup &stats);
-
-/**
- * Run only the HSU-side simulation (sweeps that hold the baseline
- * fixed, e.g. Fig 10 / Fig 11, reuse the memoized baseline cycles from
- * runWorkload).
+ * Run only the HSU-side simulation, on a copy of @p gpu with the RT
+ * unit enabled (sweeps such as Fig 10 / Fig 11 run one baseline per
+ * dataset and vary the HSU config).
  */
 RunResult runHsuOnly(Algo algo, DatasetId dataset, const GpuConfig &gpu,
                      const RunnerOptions &opts, StatGroup &stats);
 
 /**
- * Run only the baseline-side simulation.
+ * Run only the baseline-side simulation, on a copy of @p gpu with the
+ * RT unit disabled.
  */
 RunResult runBaseOnly(Algo algo, DatasetId dataset, const GpuConfig &gpu,
                       const RunnerOptions &opts, StatGroup &stats);
 
 /**
- * One independent simulation for the parallel executor: a full
- * workload (baseline + HSU), a single side for sweeps that vary the
- * GPU config while holding the other side fixed, or a caller-emitted
- * trace (ablations over custom kernels/trees).
- */
-struct SimJob
-{
-    enum class Kind : std::uint8_t
-    {
-        Workload, //!< baseline + HSU pair (fills SimJobResult::workload)
-        BaseOnly, //!< fills SimJobResult::run/stats
-        HsuOnly,  //!< fills SimJobResult::run/stats
-        Trace,    //!< simulate `trace` under `gpu` (run/stats)
-        SemLower, //!< lower `sem` with `lowering`, then simulate
-    };
-
-    Kind kind = Kind::Workload;
-    Algo algo = Algo::Ggnn;
-    DatasetId dataset{};
-    GpuConfig gpu;
-    RunnerOptions opts;
-    /** Kind::Trace only: the prebuilt trace to simulate (shared so a
-     *  bench can submit the same emission under several configs). */
-    std::shared_ptr<const KernelTrace> trace;
-    /** Kind::SemLower only: a pre-emitted semantic trace shared across
-     *  every job of a sweep (emit once, lower many). The lowered trace
-     *  is created and destroyed inside the worker, so N in-flight jobs
-     *  share ONE semantic trace instead of holding N lowered copies. */
-    std::shared_ptr<const SemKernelTrace> sem;
-    /** Kind::SemLower only: the lowering applied to `sem`. */
-    Lowering lowering;
-};
-
-/** Result slot for one SimJob (which members are set depends on kind). */
-struct SimJobResult
-{
-    WorkloadResult workload; //!< Kind::Workload
-    RunResult run;           //!< Kind::BaseOnly/HsuOnly/Trace/SemLower
-    StatGroup stats;         //!< Kind::BaseOnly/HsuOnly/Trace/SemLower
-    /** Kind::SemLower only: instruction-mix stats of the lowered trace
-     *  (the trace itself never leaves the worker). */
-    TraceStats traceStats;
-};
-
-/**
- * Run independent simulation jobs across a worker pool and return
- * their results in submission order. Results are bit-identical to
- * running each job serially: indexes are built once per dataset
- * under a lock, query generation is a pure function of the dataset
- * seed, and each simulation owns its StatGroup.
- *
- * @param num_threads worker count; 0 -> HSU_JOBS env var, else
- *                    hardware concurrency
- */
-std::vector<SimJobResult> runJobsParallel(std::vector<SimJob> jobs,
-                                          unsigned num_threads = 0);
-
-/**
  * Convenience fan-out for figure fleets: run each (algo, dataset)
- * workload with options optionsFor(dataset, scale), in parallel,
- * returning results in input order.
+ * workload with options optionsFor(dataset, scale), in parallel
+ * (parallelMap over runWorkload), returning results in input order.
+ * Results are bit-identical to running each workload serially: indexes
+ * are built once per dataset under a lock, query generation is a pure
+ * function of the dataset seed, and each simulation owns its
+ * StatGroup.
+ *
+ * @param num_threads worker count; 0 -> defaultJobs()
  */
 std::vector<WorkloadResult>
 runWorkloadsParallel(const std::vector<std::pair<Algo, DatasetId>> &work,

@@ -120,10 +120,10 @@ RunResult simulateKernel(const GpuConfig &cfg, const KernelTrace &trace,
                          StatGroup &stats);
 
 /**
- * Shared-trace overload: the executor and the serving layer hand the
- * same immutable lowered trace to many simulations without copying it
- * (see DESIGN.md "Trace lifetime and sharing"). The simulation only
- * reads the trace; the shared_ptr keeps it alive for the duration.
+ * Shared-trace overload: the serving layer hands the same immutable
+ * lowered trace to many simulations without copying it (see DESIGN.md
+ * "Trace lifetime and sharing"). The simulation only reads the trace;
+ * the shared_ptr keeps it alive for the duration.
  */
 RunResult simulateKernel(const GpuConfig &cfg,
                          const std::shared_ptr<const KernelTrace> &trace,

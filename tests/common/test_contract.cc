@@ -20,10 +20,10 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
+#include "common/threadpool.hh"
 #include "mem/cache.hh"
 #include "rtunit/rtunit.hh"
 #include "search/ggnn.hh"
-#include "search/runner.hh"
 #include "structures/graph.hh"
 
 #include "../test_util.hh"
@@ -133,7 +133,7 @@ forceLinkage()
 {
     Rng rng(1);                                  // rng.cc
     (void)rng.next();
-    (void)quickScale();                          // runner.cc
+    (void)defaultJobs();                         // threadpool.cc
     StatGroup stats;
     Cache l1(CacheParams{}, stats);
     RtUnit rtu(RtUnitParams{}, l1, stats);       // rtunit.cc
@@ -151,7 +151,7 @@ TEST(AuditRegistry, KnownSourcesAreRegistered)
         "rng.cc:deriveSeed",
         "rtunit.cc:pendingLines_",
         "ggnn.cc:visited",
-        "runner.cc:runJobsParallel",
+        "threadpool.hh:parallelMap",
     };
     for (const char *site : expected)
         EXPECT_TRUE(audit::hasSource(site)) << site;

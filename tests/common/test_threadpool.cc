@@ -1,7 +1,8 @@
 /**
  * @file
  * ThreadPool unit tests: submission-order results, exception
- * propagation, shutdown draining, and HSU_JOBS parsing.
+ * propagation, shutdown draining, and HSU_JOBS parsing; parallelMap's
+ * index order and its rethrow after the pool drains.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -100,6 +102,52 @@ TEST(ThreadPool, ExplicitThreadCountWins)
     ASSERT_EQ(setenv("HSU_JOBS", "7", 1), 0);
     EXPECT_EQ(ThreadPool(3).numThreads(), 3u);
     ASSERT_EQ(unsetenv("HSU_JOBS"), 0);
+}
+
+TEST(ParallelMap, ResultsComeBackInIndexOrder)
+{
+    // 64 calls exceed the queue bound (4 per worker) at both worker
+    // counts, and uneven call lengths let later indexes finish first.
+    for (const unsigned workers : {1u, 4u}) {
+        const std::vector<std::size_t> out = parallelMap(
+            64,
+            [](std::size_t i) {
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds((i % 4) * 50));
+                return i * i;
+            },
+            workers);
+        ASSERT_EQ(out.size(), 64u);
+        for (std::size_t i = 0; i < out.size(); ++i)
+            EXPECT_EQ(out[i], i * i) << workers << " workers";
+    }
+}
+
+TEST(ParallelMap, EmptyRangeReturnsEmptyVector)
+{
+    EXPECT_TRUE(
+        parallelMap(0, [](std::size_t i) { return i; }, 2).empty());
+}
+
+TEST(ParallelMap, RethrowsOnceEveryOtherCallFinished)
+{
+    std::atomic<int> finished{0};
+    const auto fn = [&finished](std::size_t i) {
+        if (i == 3 || i == 20)
+            throw std::runtime_error("call " + std::to_string(i));
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ++finished;
+        return i;
+    };
+    int finished_at_catch = -1;
+    try {
+        (void)parallelMap(32, fn, 4);
+    } catch (const std::runtime_error &e) {
+        finished_at_catch = finished.load();
+        // The lowest throwing index wins, whichever threw first.
+        EXPECT_STREQ(e.what(), "call 3");
+    }
+    EXPECT_EQ(finished_at_catch, 30);
 }
 
 } // namespace

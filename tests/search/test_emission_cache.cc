@@ -2,10 +2,10 @@
  * @file
  * Emit-once / lower-many pipeline tests: the shared semantic-trace
  * cache must hand every requester the same artifact, the cached
- * artifact must lower bit-identically to a fresh emission, SemLower
- * executor jobs must reproduce the two-point API's cycle counts, and
- * the grid-based pickRadius must match the brute-force scan it
- * replaced exactly.
+ * artifact must lower bit-identically to a fresh emission, lowerings
+ * run in parallelMap workers must reproduce the two-point API's cycle
+ * counts, and the grid-based pickRadius must match the brute-force
+ * scan it replaced exactly.
  */
 
 #include <gtest/gtest.h>
@@ -15,9 +15,11 @@
 #include <cmath>
 #include <limits>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/threadpool.hh"
 #include "search/runner.hh"
 #include "sim/trace_stats.hh"
 #include "structures/pointset.hh"
@@ -100,7 +102,7 @@ TEST(EmissionCache, CachedTraceLowersIdenticallyToFreshEmission)
 
 TEST(EmissionCache, SemLowerJobMatchesTwoPointApi)
 {
-    // A Kind::SemLower executor job over the shared emission must be
+    // Lowering the shared emission inside parallelMap workers must be
     // cycle-for-cycle identical to the runBaseOnly/runHsuOnly path.
     const RunnerOptions opts = tinyOptions();
     const DatasetId id = DatasetId::BTree10k;
@@ -110,29 +112,31 @@ TEST(EmissionCache, SemLowerJobMatchesTwoPointApi)
     GpuConfig base_gpu = smallGpu();
     base_gpu.rtUnitEnabled = false;
 
-    std::vector<SimJob> jobs;
-    for (const bool hsu_side : {false, true}) {
-        SimJob job;
-        job.kind = SimJob::Kind::SemLower;
-        job.gpu = hsu_side ? hsu_gpu : base_gpu;
-        job.sem = emitSemanticShared(Algo::Btree, id, opts);
-        job.lowering = hsu_side ? Lowering::hsu(hsu_gpu.datapath)
-                                : Lowering::baseline(base_gpu.datapath);
-        jobs.push_back(std::move(job));
-    }
-    const auto res = runJobsParallel(std::move(jobs), 2);
+    const auto sem = emitSemanticShared(Algo::Btree, id, opts);
+    const auto res = parallelMap(
+        2,
+        [&](std::size_t hsu_side) {
+            const GpuConfig &gpu = hsu_side ? hsu_gpu : base_gpu;
+            const KernelTrace trace = lowerTrace(
+                *sem, hsu_side ? Lowering::hsu(gpu.datapath)
+                               : Lowering::baseline(gpu.datapath));
+            StatGroup stats;
+            return std::pair{simulateKernel(gpu, trace, stats),
+                             analyzeTrace(trace)};
+        },
+        2);
 
     StatGroup base_stats, hsu_stats;
     const RunResult base =
         runBaseOnly(Algo::Btree, id, smallGpu(), opts, base_stats);
     const RunResult hsu =
         runHsuOnly(Algo::Btree, id, smallGpu(), opts, hsu_stats);
-    EXPECT_EQ(res[0].run.cycles, base.cycles);
-    EXPECT_EQ(res[1].run.cycles, hsu.cycles);
+    EXPECT_EQ(res[0].first.cycles, base.cycles);
+    EXPECT_EQ(res[1].first.cycles, hsu.cycles);
 
-    // The worker-side trace analysis is populated for SemLower jobs.
-    EXPECT_EQ(res[0].traceStats.semanticOffloadFraction(), 0.0);
-    EXPECT_GT(res[1].traceStats.semanticOffloadFraction(), 0.0);
+    // The worker-side trace analysis sees each lowering's offload.
+    EXPECT_EQ(res[0].second.semanticOffloadFraction(), 0.0);
+    EXPECT_GT(res[1].second.semanticOffloadFraction(), 0.0);
 }
 
 /** The original O(samples x N) radius pick, kept as the reference the

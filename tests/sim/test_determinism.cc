@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <utility>
+
 #include "common/rng.hh"
+#include "common/threadpool.hh"
 #include "search/runner.hh"
 #include "sim/gpu.hh"
 
@@ -275,40 +279,40 @@ TEST(Determinism, ParallelRunnerMatchesSerial)
     tiny.pointQueries = 64;
     tiny.keyQueries = 64;
 
-    std::vector<SimJob> jobs;
-    for (const auto &[algo, id] :
-         {std::pair{Algo::Btree, DatasetId::BTree10k},
-          std::pair{Algo::Bvhnn, DatasetId::Random10k},
-          std::pair{Algo::Flann, DatasetId::Bunny},
-          std::pair{Algo::Ggnn, DatasetId::Sift10k}}) {
-        SimJob job;
-        job.kind = SimJob::Kind::Workload;
-        job.algo = algo;
-        job.dataset = id;
-        job.gpu = gpu;
-        job.opts = tiny;
-        jobs.push_back(job);
-        job.kind = SimJob::Kind::HsuOnly;
-        jobs.push_back(job);
-    }
-
-    const std::vector<SimJobResult> par = runJobsParallel(jobs, 4);
-    ASSERT_EQ(par.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const SimJob &job = jobs[i];
-        if (job.kind == SimJob::Kind::Workload) {
-            const WorkloadResult serial =
-                runWorkload(job.algo, job.dataset, job.gpu, job.opts);
-            EXPECT_EQ(serial.base.cycles, par[i].workload.base.cycles);
-            EXPECT_EQ(serial.hsu.cycles, par[i].workload.hsu.cycles);
-            expectSameDump(serial.baseStats, par[i].workload.baseStats);
-            expectSameDump(serial.hsuStats, par[i].workload.hsuStats);
+    // Each workload twice: a full baseline + HSU pair, then its HSU
+    // side alone (only hsu/hsuStats filled), in one interleaved fleet.
+    const std::pair<Algo, DatasetId> work[] = {
+        {Algo::Btree, DatasetId::BTree10k},
+        {Algo::Bvhnn, DatasetId::Random10k},
+        {Algo::Flann, DatasetId::Bunny},
+        {Algo::Ggnn, DatasetId::Sift10k},
+    };
+    const std::vector<WorkloadResult> par = parallelMap(
+        2 * std::size(work),
+        [&](std::size_t i) {
+            const auto &[algo, id] = work[i / 2];
+            if (i % 2 == 0)
+                return runWorkload(algo, id, gpu, tiny);
+            WorkloadResult r;
+            r.hsu = runHsuOnly(algo, id, gpu, tiny, r.hsuStats);
+            return r;
+        },
+        4);
+    ASSERT_EQ(par.size(), 2 * std::size(work));
+    for (std::size_t i = 0; i < par.size(); ++i) {
+        const auto &[algo, id] = work[i / 2];
+        if (i % 2 == 0) {
+            const WorkloadResult serial = runWorkload(algo, id, gpu, tiny);
+            EXPECT_EQ(serial.base.cycles, par[i].base.cycles);
+            EXPECT_EQ(serial.hsu.cycles, par[i].hsu.cycles);
+            expectSameDump(serial.baseStats, par[i].baseStats);
+            expectSameDump(serial.hsuStats, par[i].hsuStats);
         } else {
             StatGroup stats;
-            const RunResult serial = runHsuOnly(
-                job.algo, job.dataset, job.gpu, job.opts, stats);
-            EXPECT_EQ(serial.cycles, par[i].run.cycles);
-            expectSameDump(stats, par[i].stats);
+            const RunResult serial =
+                runHsuOnly(algo, id, gpu, tiny, stats);
+            EXPECT_EQ(serial.cycles, par[i].hsu.cycles);
+            expectSameDump(stats, par[i].hsuStats);
         }
     }
 }
