@@ -164,20 +164,32 @@ distBatch(const float *query, float query_norm, const PointSet &points,
     }
 }
 
+/** Start fetching the cache lines of @p bytes bytes at @p p. */
+void
+prefetchRange(const void *p, std::size_t bytes)
+{
+    constexpr std::uintptr_t kLine = 64;
+    const auto first = reinterpret_cast<std::uintptr_t>(p);
+    for (std::uintptr_t a = first & ~(kLine - 1); a < first + bytes;
+         a += kLine)
+        __builtin_prefetch(reinterpret_cast<const void *>(a));
+}
+
 /** Marks a cached pair distance not yet evaluated. A distance that
  *  rounds below 0 reads as unevaluated too and is recomputed, to the
  *  same value. */
 constexpr float kUnknown = -1.0f;
 
 /**
- * View of one adjacency row's build-time sidecar block, allocated on
- * the row's first overflow and kept until build() returns. The block
- * holds, in deg * (deg - 1) / 2 + ceil((deg + 1) / 4) floats:
+ * View of one adjacency row's build-time sidecar block, allocated when
+ * the row's node is inserted and kept until build() returns. The block
+ * holds, in deg * (deg - 1) / 2 + ceil((deg + 2) / 4) floats:
  *
  *  - the strict upper triangle of pair distances among the occupants,
  *    indexed by physical slot (kUnknown until evaluated);
  *  - one byte per logical row slot: the physical slot of its occupant;
- *  - one byte: the length of the row's diverse run (see connect()).
+ *  - one byte: the length of the row's diverse run (see connect());
+ *  - one byte: whether the row has never been re-selected.
  *
  * An occupant keeps its physical slot however the row's logical order
  * is re-selected, and a newcomer takes over the slot of the occupant it
@@ -190,17 +202,17 @@ class RowPairs
     static constexpr unsigned kMaxDegree = 255;
 
     /** A fresh block: nothing evaluated, logical slot j at physical j,
-     *  empty diverse run. */
+     *  empty diverse run, never re-selected. */
     static std::unique_ptr<float[]>
     make(unsigned deg)
     {
-        const std::size_t floats = triSize(deg) + (deg + 1 + 3) / 4;
-        auto block = std::make_unique<float[]>(floats);
+        auto block = std::make_unique<float[]>(floats(deg));
         std::fill_n(block.get(), triSize(deg), kUnknown);
         RowPairs view(block.get(), deg);
         for (unsigned j = 0; j < deg; ++j)
             view.phys(j) = static_cast<unsigned char>(j);
         view.diverse() = 0;
+        view.fresh() = 1;
         return block;
     }
 
@@ -225,6 +237,17 @@ class RowPairs
 
     /** Length of the row's diverse run. */
     unsigned char &diverse() { return bytes_[deg_]; }
+
+    /** Nonzero until the row's first re-selection: its occupants sit
+     *  in arrival order and carry no verdicts yet. */
+    unsigned char &fresh() { return bytes_[deg_ + 1]; }
+
+    /** Size of a block for rows of @p deg slots, in floats. */
+    static std::size_t
+    floats(unsigned deg)
+    {
+        return triSize(deg) + (deg + 2 + 3) / 4;
+    }
 
   private:
     static std::size_t
@@ -268,8 +291,11 @@ metricDistBatch(Metric metric, const float *query, float query_norm,
 
 struct HnswGraph::SearchScratch
 {
-    SearchScratch(std::size_t n, unsigned max_degree)
-        : stamp(n, 0), ids(max_degree), dist(max_degree)
+    /** With @p record, searchLayer keeps each visited node's distance
+     *  to the query (build reads them back; a knn call does not). */
+    SearchScratch(std::size_t n, unsigned max_degree, bool record = false)
+        : stamp(n, 0), seen(record ? n : 0), ids(max_degree),
+          dist(max_degree)
     {
     }
 
@@ -293,8 +319,26 @@ struct HnswGraph::SearchScratch
         return true;
     }
 
+    /** Keep @p d as @p id's distance to this search's query. */
+    void
+    record(std::uint32_t id, float d)
+    {
+        if (!seen.empty())
+            seen[id] = d;
+    }
+
+    /** The distance the last search recorded for @p id, or kUnknown if
+     *  that search did not visit it. */
+    float
+    recorded(std::uint32_t id) const
+    {
+        return stamp[id] == epoch ? seen[id] : kUnknown;
+    }
+
     using Cand = std::pair<float, std::uint32_t>;
     std::vector<std::uint32_t> stamp; //!< per node: epoch of last visit
+    /** per node: distance to the query, valid while stamp == epoch */
+    std::vector<float> seen;
     std::uint32_t epoch = 0;
     std::vector<Cand> open; //!< min-heap of candidates to expand
     std::vector<Cand> best; //!< max-heap of the ef best found
@@ -363,9 +407,13 @@ HnswGraph::build(const PointSet &points, Metric metric,
     // full row overflows on nearly every backward edge, and each
     // re-selection compares its candidates pairwise, so distances are
     // cached, not recomputed: row_dist holds each row slot's distance
-    // to its owner, row_pairs each row's RowPairs block. Reusing a
-    // float computed once — including across the dist(a,b)/dist(b,a)
-    // swap, which is exact for both metrics — is bit-identical to
+    // to its owner, row_pairs each row's RowPairs block (allocated when
+    // the row's node is inserted; node 0 is there from the start), and
+    // the search scratch each node's distance to the node being
+    // inserted, as its layer search evaluated it. Reusing a float
+    // computed once — including across the dist(a,b)/dist(b,a) swap,
+    // which is exact for both metrics, and across batch positions,
+    // which metricDistBatch never mixes — is bit-identical to
     // recomputing it, so the resulting graph is unchanged.
     std::vector<std::vector<float>> row_dist(max_level + 1);
     std::vector<std::vector<std::unique_ptr<float[]>>> row_pairs(
@@ -373,7 +421,12 @@ HnswGraph::build(const PointSet &points, Metric metric,
     for (unsigned l = 0; l <= max_level; ++l) {
         row_dist[l].assign(n * g.layerDegree(l), 0.0f);
         row_pairs[l].resize(n);
+        row_pairs[l][0] = RowPairs::make(g.layerDegree(l));
     }
+    auto rowDist = [&](unsigned l, std::uint32_t node) {
+        return row_dist[l].data() +
+               static_cast<std::size_t>(node) * g.layerDegree(l);
+    };
 
     // Diversity verdict of an overflow candidate.
     enum class Verdict : unsigned char
@@ -401,6 +454,7 @@ HnswGraph::build(const PointSet &points, Metric metric,
     const unsigned max_deg = std::max(params.degree, params.degreeLayer0);
     hsu_assert(max_deg <= RowPairs::kMaxDegree, "HNSW degree ", max_deg,
                " above ", RowPairs::kMaxDegree);
+    SearchScratch scratch(n, max_deg, true);
     // Overflow scratch, reused by every connect() call.
     std::vector<Cand> occupants(max_deg);
     std::vector<Cand> cands(max_deg + 1);
@@ -411,20 +465,18 @@ HnswGraph::build(const PointSet &points, Metric metric,
     std::vector<std::uint32_t> miss_node(max_deg);
     std::vector<float> miss_d(max_deg); //!< ...and their distances
 
-    // Add a bidirectional edge (@p dft = dist(from, to), which every
-    // caller has already evaluated). On overflow the row is re-selected
-    // with the HNSW diversity heuristic over {existing + new}, which
-    // preserves the long-range edges plain replace-farthest would
-    // erode as the graph densifies.
+    // Add the backward edge from -> to, where @p to is the node being
+    // inserted (so in no row yet), whose layer-@p l search is the last
+    // one in scratch, and @p dft = dist(from, to). On overflow the row
+    // is re-selected with the HNSW diversity heuristic over {existing +
+    // new}, which preserves the long-range edges plain replace-farthest
+    // would erode as the graph densifies.
     auto connect = [&](unsigned l, std::uint32_t from, std::uint32_t to,
                        float dft) {
         std::uint32_t *r = row(l, from);
         const unsigned deg = g.layerDegree(l);
-        float *rd = row_dist[l].data() +
-                    static_cast<std::size_t>(from) * deg;
+        float *rd = rowDist(l, from);
         for (unsigned j = 0; j < deg; ++j) {
-            if (r[j] == to)
-                return;
             if (r[j] == kNoNeighbor) {
                 r[j] = to;
                 rd[j] = dft;
@@ -442,15 +494,14 @@ HnswGraph::build(const PointSet &points, Metric metric,
         // newcomer and, if the newcomer is dominated, after it too.
         // Only the newcomer, and the candidates after it when it turns
         // out diverse, need evaluating.
-        std::unique_ptr<float[]> &block = row_pairs[l][from];
-        const bool first = !block;
-        if (first)
-            block = RowPairs::make(deg);
-        RowPairs pairs(block.get(), deg);
+        RowPairs pairs(row_pairs[l][from].get(), deg);
         const unsigned kNewSlot = deg;
         Cand *c = cands.data();
-        if (first) {
-            // The row holds its edges in arrival order.
+        if (pairs.fresh()) {
+            // The row holds its edges in arrival order, occupant j at
+            // physical slot j, with no verdicts yet; only the pairs its
+            // owner's neighbour selection evaluated are cached.
+            pairs.fresh() = 0;
             for (unsigned j = 0; j < deg; ++j)
                 c[j] = {rd[j], r[j], j, Verdict::Unknown};
             c[deg] = {dft, to, kNewSlot, Verdict::Unknown};
@@ -470,7 +521,10 @@ HnswGraph::build(const PointSet &points, Metric metric,
                 c[p] = c[p - 1];
             c[p] = in;
         }
-        std::fill_n(new_pair.begin(), deg, kUnknown);
+        // The newcomer's pairs, by the occupant's slot: those with the
+        // occupants its layer search visited are already known.
+        for (unsigned j = 0; j < deg; ++j)
+            new_pair[pairs.phys(j)] = scratch.recorded(r[j]);
         // The cache cell of pair (x, o); the newcomer's pairs are in
         // new_pair, by the occupant's slot.
         auto cell = [&](const Cand &x, const Cand &o) -> float & {
@@ -519,13 +573,19 @@ HnswGraph::build(const PointSet &points, Metric metric,
                     stale = std::min(stale, k + 1);
                     if (c[k].slot == kNewSlot) {
                         // Every later candidate is now checked against
-                        // the newcomer: evaluate those pairs together.
+                        // the newcomer: evaluate the pairs not yet
+                        // known together.
                         unsigned m = 0;
-                        for (unsigned x = k + 1; x <= deg; ++x)
-                            miss_node[m++] = c[x].node;
+                        for (unsigned x = k + 1; x <= deg; ++x) {
+                            float &v = new_pair[c[x].slot];
+                            if (v < 0.0f) {
+                                miss_cell[m] = &v;
+                                miss_node[m++] = c[x].node;
+                            }
+                        }
                         distsFrom(to, miss_node.data(), m, miss_d.data());
-                        for (unsigned x = k + 1; x <= deg; ++x)
-                            new_pair[c[x].slot] = miss_d[x - k - 1];
+                        for (unsigned u = 0; u < m; ++u)
+                            *miss_cell[u] = miss_d[u];
                     }
                 } else {
                     c[k].verdict = Verdict::Dominated;
@@ -568,10 +628,13 @@ HnswGraph::build(const PointSet &points, Metric metric,
     };
 
     // Incremental insertion.
-    SearchScratch scratch(n, max_deg);
     std::vector<std::uint32_t> selected(max_deg);
     std::vector<float> selected_d(max_deg); //!< dist(node, selected[j])
-    std::vector<float> div_d(max_deg);
+    // Per candidate of the layer search's result: how many selected
+    // candidates the diversity check compared it with, and those
+    // distances (max_deg per candidate).
+    std::vector<unsigned> checked;
+    std::vector<float> checked_d;
     for (std::size_t i = 1; i < n; ++i) {
         const auto node = static_cast<std::uint32_t>(i);
         const float *q = points[node];
@@ -590,38 +653,57 @@ HnswGraph::build(const PointSet &points, Metric metric,
             g.searchLayer(ul, cur, q, qn, params.efConstruction, scratch);
             const std::vector<Neighbor> &found = scratch.found;
             const unsigned target = g.layerDegree(ul);
+            // The new row is empty: no row holds the node yet. It takes
+            // its selection in order, selected[s] at physical slot s,
+            // and keeps the pairs the selection evaluates among them.
+            row_pairs[ul][node] = RowPairs::make(target);
+            RowPairs pairs(row_pairs[ul][node].get(), target);
+            checked.assign(found.size(), 0);
+            checked_d.resize(found.size() * max_deg);
             unsigned nsel = 0;
-            for (const auto &c : found) {
+            auto take = [&](std::size_t p) {
+                const float *cd = checked_d.data() + p * max_deg;
+                for (unsigned s = 0; s < checked[p]; ++s)
+                    pairs.dist(nsel, s) = cd[s];
+                selected[nsel] = found[p].index;
+                selected_d[nsel] = found[p].dist2;
+                ++nsel;
+            };
+            for (std::size_t p = 0; p < found.size() && nsel < target;
+                 ++p) {
+                const Neighbor &c = found[p];
                 if (c.index == node)
                     continue;
-                if (nsel >= target)
-                    break;
-                distsFrom(c.index, selected.data(), nsel, div_d.data());
-                if (std::none_of(div_d.begin(), div_d.begin() + nsel,
-                                 [&c](float d) { return d < c.dist2; })) {
-                    selected[nsel] = c.index;
-                    selected_d[nsel] = c.dist2;
-                    ++nsel;
-                }
+                float *cd = checked_d.data() + p * max_deg;
+                distsFrom(c.index, selected.data(), nsel, cd);
+                checked[p] = nsel;
+                if (std::none_of(cd, cd + nsel,
+                                 [&c](float d) { return d < c.dist2; }))
+                    take(p);
             }
             // Backfill with skipped candidates if diversity pruned too
             // aggressively.
-            for (const auto &c : found) {
-                if (nsel >= target)
-                    break;
-                if (c.index == node)
-                    continue;
-                if (std::find(selected.begin(), selected.begin() + nsel,
-                              c.index) == selected.begin() + nsel) {
-                    selected[nsel] = c.index;
-                    selected_d[nsel] = c.dist2;
-                    ++nsel;
-                }
+            for (std::size_t p = 0; p < found.size() && nsel < target;
+                 ++p) {
+                if (found[p].index != node &&
+                    std::find(selected.begin(), selected.begin() + nsel,
+                              found[p].index) ==
+                        selected.begin() + nsel)
+                    take(p);
             }
+            std::copy_n(selected.begin(), nsel, row(ul, node));
+            std::copy_n(selected_d.begin(), nsel, rowDist(ul, node));
+            // Each selected row takes a backward edge next: start
+            // fetching them all.
             for (unsigned s = 0; s < nsel; ++s) {
-                connect(ul, node, selected[s], selected_d[s]);
-                connect(ul, selected[s], node, selected_d[s]);
+                const std::uint32_t x = selected[s];
+                prefetchRange(row(ul, x), target * sizeof(std::uint32_t));
+                prefetchRange(rowDist(ul, x), target * sizeof(float));
+                prefetchRange(row_pairs[ul][x].get(),
+                              RowPairs::floats(target) * sizeof(float));
             }
+            for (unsigned s = 0; s < nsel; ++s)
+                connect(ul, selected[s], node, selected_d[s]);
             if (!found.empty())
                 cur = found.front().index == node && found.size() > 1
                     ? found[1].index
@@ -703,6 +785,7 @@ HnswGraph::searchLayer(unsigned layer, std::uint32_t entry,
     open.push_back({entry_d, entry});
     best.push_back({entry_d, entry});
     s.visit(entry);
+    s.record(entry, entry_d);
 
     const unsigned deg = layerDegree(layer);
     while (!open.empty()) {
@@ -720,6 +803,7 @@ HnswGraph::searchLayer(unsigned layer, std::uint32_t entry,
         distances(query, query_norm, s.ids.data(), m, s.dist.data());
         for (unsigned j = 0; j < m; ++j) {
             const float nd = s.dist[j];
+            s.record(s.ids[j], nd);
             if (best.size() < ef || nd < best.front().first) {
                 open.push_back({nd, s.ids[j]});
                 std::push_heap(open.begin(), open.end(), nearest_first);
@@ -766,10 +850,22 @@ HnswGraph::knn(const float *query, unsigned k,
 bool
 HnswGraph::validate() const
 {
-    if (!points_)
+    if (!points_ || layers_.empty())
         return false;
     const std::size_t n = points_->size();
+    // Search starts at the entry point on the top layer.
+    if (n > 0 && (entry_ >= n || std::find(layers_.back().members.begin(),
+                                           layers_.back().members.end(),
+                                           entry_) ==
+                                     layers_.back().members.end())) {
+        return false;
+    }
     for (unsigned l = 0; l < numLayers(); ++l) {
+        // Every node id has a row of layerDegree(l) slots.
+        if (layers_[l].adjacency.size() !=
+            static_cast<std::uint64_t>(n) * layerDegree(l)) {
+            return false;
+        }
         std::vector<bool> member(n, false);
         for (const auto m : layers_[l].members) {
             if (m >= n)

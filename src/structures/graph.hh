@@ -118,8 +118,10 @@ class HnswGraph
     const PointSet &points() const { return *points_; }
     Metric metric() const { return metric_; }
 
-    /** Invariants: in-range neighbor ids, no self-loops, members of a
-     *  layer also exist in all lower layers. */
+    /** Invariants: at least one layer, each with a row of
+     *  layerDegree(l) slots per node; in-range neighbor ids, no
+     *  self-loops; members of a layer also exist in all lower layers;
+     *  the entry point is a member of the top layer. */
     bool validate() const;
 
     /** One layer's raw storage (exposed for serialization). */

@@ -205,14 +205,26 @@ KdTree::validate() const
     if (nodes_.empty())
         return pointIndex_.empty();
 
-    // Every point appears exactly once across leaves.
+    // Every point appears exactly once across leaves, and every node
+    // is reached at most once (no cycles, no shared subtrees), through
+    // in-range child indices only.
     std::vector<bool> seen(points_->size(), false);
+    std::vector<bool> reached(nodes_.size(), false);
     std::vector<std::int32_t> stack{0};
     while (!stack.empty()) {
         const std::int32_t idx = stack.back();
         stack.pop_back();
+        if (idx < 0 || static_cast<std::size_t>(idx) >= nodes_.size() ||
+            reached[static_cast<std::size_t>(idx)]) {
+            return false;
+        }
+        reached[static_cast<std::size_t>(idx)] = true;
         const KdNode &node = nodes_[static_cast<std::size_t>(idx)];
         if (node.isLeaf()) {
+            if (node.first > pointIndex_.size() ||
+                node.count > pointIndex_.size() - node.first) {
+                return false;
+            }
             for (std::uint32_t i = 0; i < node.count; ++i) {
                 const std::uint32_t pt = pointIndex_[node.first + i];
                 if (pt >= seen.size() || seen[pt])

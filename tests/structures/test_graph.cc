@@ -172,7 +172,12 @@ datasetPrefix(DatasetId id, std::size_t count)
 // Digests pinned from a build that evaluated every distance with one
 // metricDist call: a construction speedup must leave each graph, and
 // each answer, bit-identical. A changed value means the builder changed
-// a distance or a tie-break, not just its speed.
+// a distance or a tie-break, not just its speed. The last four cases
+// were pinned before the builder reused the layer search's and the
+// neighbour selection's distances: with efConstruction below the layer
+// degree a new row starts part-empty and takes backward edges into
+// slots its selection never saw before its first re-selection, and
+// small degrees overflow rows early and often and give more layers.
 TEST(HnswGraph, BuildIsBitIdenticalToReference)
 {
     struct Case
@@ -182,9 +187,13 @@ TEST(HnswGraph, BuildIsBitIdenticalToReference)
         PointSet queries;
         Metric metric;
         std::uint64_t digest;
+        HnswParams params{};
     };
     auto [d1b, d1b_q] = datasetPrefix(DatasetId::Deep1b, 3000);
     auto [mnist, mnist_q] = datasetPrefix(DatasetId::Mnist, 1500);
+    auto [d1b_small, d1b_small_q] = datasetPrefix(DatasetId::Deep1b, 2000);
+    const HnswParams narrow_ef{16, 24, 12, 7};
+    const HnswParams small_degree{4, 6, 8, 7};
     Case cases[] = {
         {"D1B[:3000] angular 96-d", std::move(d1b), std::move(d1b_q),
          Metric::Angular, 0x084bc1c216473716ull},
@@ -197,9 +206,21 @@ TEST(HnswGraph, BuildIsBitIdenticalToReference)
         {"cloud 1500x12 angular", test::randomCloud(1500, 12, 93),
          test::randomCloud(4, 12, 94), Metric::Angular,
          0xc467e72d44e64ba4ull},
+        {"D1B[:2000] angular, ef 12 < degrees 16/24",
+         std::move(d1b_small), std::move(d1b_small_q), Metric::Angular,
+         0x52e215cf2ec660b4ull, narrow_ef},
+        {"cloud 1500x12 euclidean, ef 12 < degrees 16/24",
+         test::randomCloud(1500, 12, 95), test::randomCloud(4, 12, 96),
+         Metric::Euclidean, 0xb28cb5cf3bcb2701ull, narrow_ef},
+        {"cloud 2000x8 euclidean, degrees 4/6, ef 8",
+         test::randomCloud(2000, 8, 97), test::randomCloud(4, 8, 98),
+         Metric::Euclidean, 0x3bbf63e6905922e5ull, small_degree},
+        {"cloud 1500x12 angular, degrees 4/6, ef 8",
+         test::randomCloud(1500, 12, 99), test::randomCloud(4, 12, 100),
+         Metric::Angular, 0x56491fcdb52d4143ull, small_degree},
     };
     for (const Case &c : cases) {
-        const HnswGraph g = HnswGraph::build(c.points, c.metric);
+        const HnswGraph g = HnswGraph::build(c.points, c.metric, c.params);
         const std::uint64_t got = graphDigest(g, c.queries);
         EXPECT_EQ(got, c.digest) << c.name << ": 0x" << std::hex << got;
     }

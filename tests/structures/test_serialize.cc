@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include <sys/resource.h>
@@ -186,6 +188,118 @@ TEST(Serialize, HugeClaimedLengthsFailWithoutAllocating)
 
     EXPECT_LT(peakRssMiB() - rss_before, 64) << "a claimed length was "
                                                 "allocated up front";
+}
+
+/** A graph blob in saveGraph's layout, with @p entry and @p layers in
+ *  place of @p g's own. */
+std::string
+graphBlob(const HnswGraph &g, std::uint32_t entry,
+          const std::vector<HnswGraph::Layer> &layers)
+{
+    std::string blob;
+    put<std::uint32_t>(blob, 0x48535531); // "HSU1"
+    put<std::uint32_t>(blob, 3);          // graph blob
+    put<std::uint64_t>(blob, g.points().size());
+    put<std::uint32_t>(blob, g.points().dim());
+    put<std::uint32_t>(blob, 0); // Euclidean
+    put<std::uint32_t>(blob, entry);
+    put<std::uint32_t>(blob, static_cast<std::uint32_t>(layers.size()));
+    put<std::uint32_t>(blob, g.layerDegree(0));
+    put<std::uint32_t>(blob, g.layerDegree(1));
+    for (const HnswGraph::Layer &layer : layers) {
+        for (const auto *v : {&layer.members, &layer.adjacency}) {
+            put<std::uint64_t>(blob, v->size());
+            for (const std::uint32_t x : *v)
+                put(blob, x);
+        }
+    }
+    return blob;
+}
+
+std::optional<HnswGraph>
+loadGraphBlob(const std::string &blob, const PointSet &pts)
+{
+    std::stringstream in(blob);
+    return loadGraph(in, pts);
+}
+
+// A cache file whose layer rows do not cover every node, or whose
+// entry point is not on the top layer, must be refused: the first read
+// past the short adjacency, and a search from an entry point outside
+// the point set read out of bounds.
+TEST(Serialize, GraphRejectsBadAdjacencySizeAndEntryPoint)
+{
+    const PointSet pts = test::randomCloud(400, 8, 87);
+    const HnswGraph g = HnswGraph::build(pts, Metric::Euclidean);
+    ASSERT_GE(g.numLayers(), 2u);
+    const std::vector<HnswGraph::Layer> &layers = g.layers();
+    ASSERT_TRUE(loadGraphBlob(graphBlob(g, g.entryPoint(), layers), pts)
+                    .has_value());
+
+    std::vector<HnswGraph::Layer> short_rows = layers;
+    short_rows[0].adjacency.resize(10);
+    EXPECT_FALSE(loadGraphBlob(graphBlob(g, g.entryPoint(), short_rows),
+                               pts)
+                     .has_value());
+
+    std::vector<HnswGraph::Layer> long_rows = layers;
+    long_rows[0].adjacency.resize(
+        long_rows[0].adjacency.size() + g.layerDegree(0),
+        HnswGraph::kNoNeighbor);
+    EXPECT_FALSE(loadGraphBlob(graphBlob(g, g.entryPoint(), long_rows),
+                               pts)
+                     .has_value());
+
+    EXPECT_FALSE(loadGraphBlob(graphBlob(g, 100000, layers), pts)
+                     .has_value());
+    // A node of layer 0 only: in range, but not where search starts.
+    const std::vector<std::uint32_t> &top = layers.back().members;
+    std::uint32_t low = 0;
+    while (std::find(top.begin(), top.end(), low) != top.end())
+        ++low;
+    EXPECT_FALSE(loadGraphBlob(graphBlob(g, low, layers), pts).has_value());
+}
+
+// A kd-tree blob's child indices and leaf ranges index the loaded
+// arrays: each must be checked before it is followed.
+TEST(Serialize, KdTreeRejectsOutOfRangeChildrenAndLeafRanges)
+{
+    const PointSet pts = test::randomCloud(200, 3, 92);
+    const KdTree tree = KdTree::build(pts, 8);
+    ASSERT_FALSE(tree.nodes()[0].isLeaf());
+    const auto blob = [&](const std::vector<KdNode> &nodes) {
+        std::string b;
+        put<std::uint32_t>(b, 0x48535531); // "HSU1"
+        put<std::uint32_t>(b, 2);          // k-d tree blob
+        put<std::uint64_t>(b, pts.size());
+        put<std::uint32_t>(b, pts.dim());
+        put<std::uint64_t>(b, nodes.size());
+        for (const KdNode &node : nodes)
+            put(b, node);
+        put<std::uint64_t>(b, tree.pointIndex().size());
+        for (const std::uint32_t i : tree.pointIndex())
+            put(b, i);
+        return b;
+    };
+    const auto loads = [&](const std::vector<KdNode> &nodes) {
+        std::stringstream in(blob(nodes));
+        return loadKdTree(in, pts).has_value();
+    };
+    ASSERT_TRUE(loads(tree.nodes()));
+
+    for (const std::int32_t child : {100000, -2, 0}) {
+        std::vector<KdNode> nodes = tree.nodes();
+        nodes[0].right = child;
+        EXPECT_FALSE(loads(nodes)) << "right child " << child;
+    }
+    std::size_t leaf = 0;
+    while (!tree.nodes()[leaf].isLeaf())
+        ++leaf;
+    for (const std::uint32_t first : {0xfffffff0u, 0xffffffffu}) {
+        std::vector<KdNode> nodes = tree.nodes();
+        nodes[leaf].first = first;
+        EXPECT_FALSE(loads(nodes)) << "leaf first " << first;
+    }
 }
 
 TEST(Serialize, TruncatedStreamRejected)
