@@ -97,9 +97,9 @@ geomean(const std::vector<double> &vals)
 /**
  * Write the per-phase pipeline breakdown of this bench run to
  * BENCH_pipeline.json in the working directory (CI uploads it as an
- * artifact and gates on the emit phase). Phase seconds are CPU-seconds
- * summed over worker threads — with HSU_JOBS > 1 they can exceed
- * total_wall_seconds. Call once, at the end of main.
+ * artifact and gates on the emit and build phases). Phase seconds are
+ * CPU-seconds summed over worker threads — with HSU_JOBS > 1 they can
+ * exceed total_wall_seconds. Call once, at the end of main.
  */
 inline void
 writePipelineReport(const std::string &bench_name)
@@ -126,12 +126,15 @@ writePipelineReport(const std::string &bench_name)
         << "  \"emit_cache_hits\": " << r.emitCacheHits << ",\n"
         << "  \"lower_calls\": " << r.lowerCalls << ",\n"
         << "  \"simulate_calls\": " << r.simulateCalls << ",\n"
+        << "  \"build_seconds\": " << r.buildSeconds << ",\n"
+        << "  \"build_calls\": " << r.buildCalls << ",\n"
         << "  \"peak_rss_bytes\": " << peakRssBytes() << "\n"
         << "}\n";
     // stderr, not stdout: wall-clock varies run to run, and stdout
     // tables are bit-identical by contract (diffable across knobs).
-    std::cerr << "[pipeline] wall " << Table::num(wall, 2)
-              << "s | emit " << Table::num(r.emitSeconds, 2) << "s ("
+    std::cerr << "[pipeline] wall " << Table::num(wall, 2) << "s | build "
+              << Table::num(r.buildSeconds, 2) << "s (" << r.buildCalls
+              << " indexes) | emit " << Table::num(r.emitSeconds, 2) << "s ("
               << r.emitCalls << " emissions, " << r.emitCacheHits
               << " cache hits) | lower " << Table::num(r.lowerSeconds, 2)
               << "s | simulate " << Table::num(r.simulateSeconds, 2)

@@ -5,8 +5,9 @@
  *
  * The trace pipeline has three phases — semantic emission (the
  * functional search kernel), lowering (IR -> executable trace), and
- * timing simulation — and the bench binaries report how wall-clock
- * splits across them (BENCH_pipeline.json, written by
+ * timing simulation — and runs on indexes built before it: a fourth
+ * counter times index construction. The bench binaries report how
+ * wall-clock splits across them (BENCH_pipeline.json, written by
  * bench::writePipelineReport). Each phase accumulates nanoseconds into
  * a process-global atomic, so the numbers are CPU-seconds summed over
  * every worker thread, not elapsed time; with HSU_JOBS workers a phase
@@ -30,15 +31,16 @@
 namespace hsu
 {
 
-/** The three trace-pipeline phases. */
+/** The three trace-pipeline phases, and the index builds before them. */
 enum class PipelinePhase : unsigned
 {
     Emit,     //!< functional kernel run + semantic trace construction
     Lower,    //!< lowerTrace(): semantic IR -> executable warp trace
     Simulate, //!< Gpu timing simulation of a lowered trace
+    Build,    //!< index construction (an index cache load is not a build)
 };
 
-constexpr unsigned kNumPipelinePhases = 3;
+constexpr unsigned kNumPipelinePhases = 4;
 
 namespace detail
 {
@@ -108,6 +110,8 @@ struct PipelinePhaseReport
     std::uint64_t emitCacheHits = 0; //!< requests the cache absorbed
     std::uint64_t lowerCalls = 0;
     std::uint64_t simulateCalls = 0;
+    double buildSeconds = 0.0;
+    std::uint64_t buildCalls = 0; //!< indexes built, not loaded
 };
 
 inline PipelinePhaseReport
@@ -132,6 +136,8 @@ pipelinePhaseReport()
     r.emitCacheHits = c.emitCacheHits.load(std::memory_order_relaxed);
     r.lowerCalls = calls(PipelinePhase::Lower);
     r.simulateCalls = calls(PipelinePhase::Simulate);
+    r.buildSeconds = secs(PipelinePhase::Build);
+    r.buildCalls = calls(PipelinePhase::Build);
     return r;
 }
 

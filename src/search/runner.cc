@@ -368,7 +368,10 @@ cachedIndex(const std::string &file, LoadFn load, BuildFn build,
             hsu_warn("index cache ", file, " is stale; rebuilding");
         }
     }
-    T built = build();
+    T built = [&] {
+        const ScopedPhaseTimer timer(PipelinePhase::Build);
+        return build();
+    }();
     if (!file.empty()) {
         // Write-to-temp + rename so a concurrent reader never sees a
         // half-written index.

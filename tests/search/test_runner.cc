@@ -8,7 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <string>
 
+#include <unistd.h>
+
+#include "common/phase_timer.hh"
 #include "search/runner.hh"
 
 namespace hsu
@@ -81,6 +87,31 @@ TEST(Runner, IndexCacheStemKeysEveryBuildInput)
     EXPECT_EQ(std::adjacent_find(changed.begin(), changed.end()),
               changed.end())
         << "two different inputs share a name";
+}
+
+// The build phase times index construction and nothing else: each
+// build counts once, a load from HSU_INDEX_CACHE not at all.
+TEST(Runner, BuildPhaseCountsBuildsNotCacheLoads)
+{
+    const std::string dir = ::testing::TempDir() + "hsu_build_phase_" +
+                            std::to_string(::getpid());
+    ASSERT_EQ(setenv("HSU_INDEX_CACHE", dir.c_str(), 1), 0);
+    const std::uint64_t before = pipelinePhaseReport().buildCalls;
+    {
+        DatasetIndex built;
+        buildDatasetIndex(built, DatasetId::BTree10k, DatasetSlice{}, {});
+        ASSERT_TRUE(built.btree);
+    }
+    EXPECT_EQ(pipelinePhaseReport().buildCalls, before + 1);
+    {
+        DatasetIndex loaded;
+        buildDatasetIndex(loaded, DatasetId::BTree10k, DatasetSlice{}, {});
+        ASSERT_TRUE(loaded.btree);
+    }
+    EXPECT_EQ(pipelinePhaseReport().buildCalls, before + 1)
+        << "a cache load counted as a build";
+    ASSERT_EQ(unsetenv("HSU_INDEX_CACHE"), 0);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Runner, DatasetsForAlgoPartition)
