@@ -233,8 +233,9 @@ KdTree::validate() const
             }
             continue;
         }
-        // All points under left must be <= split on the split axis...
-        // (median split with nth_element guarantees <= / >=).
+        // Search reads the query's coordinate on the split axis.
+        if (static_cast<unsigned>(node.axis) >= points_->dim())
+            return false;
         stack.push_back(node.left);
         stack.push_back(node.right);
     }

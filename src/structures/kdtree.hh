@@ -85,9 +85,9 @@ class KdTree
     /** Depth of the tree (diagnostics). */
     unsigned depth() const;
 
-    /** Structural invariants: child indices and leaf ranges in bounds,
-     *  every node reached once from the root, every point appearing
-     *  exactly once. */
+    /** Structural invariants: child indices, split axes and leaf ranges
+     *  in bounds, every node reached once from the root, every point
+     *  appearing exactly once. */
     bool validate() const;
 
     /** Reassemble from serialized parts (used by loadKdTree). */

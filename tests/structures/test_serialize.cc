@@ -260,8 +260,8 @@ TEST(Serialize, GraphRejectsBadAdjacencySizeAndEntryPoint)
     EXPECT_FALSE(loadGraphBlob(graphBlob(g, low, layers), pts).has_value());
 }
 
-// A kd-tree blob's child indices and leaf ranges index the loaded
-// arrays: each must be checked before it is followed.
+// A kd-tree blob's child indices, split axes and leaf ranges index the
+// loaded arrays and the query: each must be checked before it is used.
 TEST(Serialize, KdTreeRejectsOutOfRangeChildrenAndLeafRanges)
 {
     const PointSet pts = test::randomCloud(200, 3, 92);
@@ -292,6 +292,9 @@ TEST(Serialize, KdTreeRejectsOutOfRangeChildrenAndLeafRanges)
         nodes[0].right = child;
         EXPECT_FALSE(loads(nodes)) << "right child " << child;
     }
+    std::vector<KdNode> bad_axis = tree.nodes();
+    bad_axis[0].axis = static_cast<std::int32_t>(pts.dim());
+    EXPECT_FALSE(loads(bad_axis)) << "split axis past the last dimension";
     std::size_t leaf = 0;
     while (!tree.nodes()[leaf].isLeaf())
         ++leaf;
