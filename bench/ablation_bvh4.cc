@@ -51,14 +51,12 @@ main()
         BvhnnKernel binary(points, bvh, BvhnnConfig{radius, false});
         BvhnnKernel wide(points, bvh, BvhnnConfig{radius, true});
 
-        auto base_run =
-            binary.run(queries, KernelVariant::Baseline);
-        auto bin_run = binary.run(queries, KernelVariant::Hsu);
-        auto wide_run = wide.run(queries, KernelVariant::Hsu);
+        const BvhnnEmit bin_emit = binary.emit(queries);
+        const BvhnnEmit wide_emit = wide.emit(queries);
 
         // Results must agree between tree shapes.
         for (std::size_t q = 0; q < queries.size(); ++q) {
-            if (bin_run.results[q].index != wide_run.results[q].index) {
+            if (bin_emit.results[q].index != wide_emit.results[q].index) {
                 std::fprintf(stderr, "BVH4 result mismatch (q=%zu)\n",
                              q);
                 return 1;
@@ -67,13 +65,13 @@ main()
 
         CaseInfo c;
         c.label = workloadLabel(Algo::Bvhnn, info);
-        c.boxTestRatio = static_cast<double>(wide_run.boxTests) /
-                         static_cast<double>(bin_run.boxTests);
+        c.boxTestRatio = static_cast<double>(wide_emit.boxTests) /
+                         static_cast<double>(bin_emit.boxTests);
         cases.push_back(std::move(c));
 
-        traces.push_back(std::move(base_run.trace));
-        traces.push_back(std::move(bin_run.trace));
-        traces.push_back(std::move(wide_run.trace));
+        traces.push_back(lowerTrace(bin_emit.sem, Lowering::baseline()));
+        traces.push_back(lowerTrace(bin_emit.sem, Lowering::hsu()));
+        traces.push_back(lowerTrace(wide_emit.sem, Lowering::hsu()));
     }
     // Every third trace is a baseline; the other two run on the HSU.
     const std::vector<RunResult> results =

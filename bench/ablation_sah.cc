@@ -56,15 +56,12 @@ main()
         BvhnnKernel morton_kernel(points, morton, BvhnnConfig{radius});
         BvhnnKernel sah_kernel(points, sah, BvhnnConfig{radius});
 
-        auto base_run =
-            morton_kernel.run(queries, KernelVariant::Baseline);
-        auto morton_run =
-            morton_kernel.run(queries, KernelVariant::Hsu);
-        auto sah_run = sah_kernel.run(queries, KernelVariant::Hsu);
+        const BvhnnEmit morton_emit = morton_kernel.emit(queries);
+        const BvhnnEmit sah_emit = sah_kernel.emit(queries);
 
         for (std::size_t q = 0; q < queries.size(); ++q) {
-            if (morton_run.results[q].index !=
-                sah_run.results[q].index) {
+            if (morton_emit.results[q].index !=
+                sah_emit.results[q].index) {
                 std::fprintf(stderr, "SAH result mismatch (q=%zu)\n",
                              q);
                 return 1;
@@ -75,13 +72,13 @@ main()
         c.label = workloadLabel(Algo::Bvhnn, info);
         c.mortonSah = morton.sahCost();
         c.sahSah = sah.sahCost();
-        c.boxTestRatio = static_cast<double>(sah_run.boxTests) /
-                         static_cast<double>(morton_run.boxTests);
+        c.boxTestRatio = static_cast<double>(sah_emit.boxTests) /
+                         static_cast<double>(morton_emit.boxTests);
         cases.push_back(std::move(c));
 
-        traces.push_back(std::move(base_run.trace));
-        traces.push_back(std::move(morton_run.trace));
-        traces.push_back(std::move(sah_run.trace));
+        traces.push_back(lowerTrace(morton_emit.sem, Lowering::baseline()));
+        traces.push_back(lowerTrace(morton_emit.sem, Lowering::hsu()));
+        traces.push_back(lowerTrace(sah_emit.sem, Lowering::hsu()));
     }
     // Every third trace is a baseline; the other two run on the HSU.
     const std::vector<RunResult> results =

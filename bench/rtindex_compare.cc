@@ -42,26 +42,29 @@ main(int argc, char **argv)
             "native keys (HSU); paper: +36.6%, 9:1 memory",
             {"Variant", "Leaf bytes/key", "Cycles", "Speedup"});
 
-    auto run_tri = index.run(probes, KernelVariant::Baseline);
-    auto run_key = index.run(probes, KernelVariant::Hsu);
+    const RtindexEmit tri = index.emit(probes, RtindexForm::Tri);
+    const RtindexEmit key = index.emit(probes, RtindexForm::Native);
 
     // Both variants' sims are independent: fan them across the pool.
-    const KernelTrace *traces[] = {&run_tri.trace, &run_key.trace};
+    const KernelTrace traces[] = {
+        lowerTrace(tri.sem, Lowering::baseline()),
+        lowerTrace(key.sem, Lowering::hsu()),
+    };
     const std::vector<RunResult> results = parallelMap(
         std::size(traces),
         [&](std::size_t i) {
             StatGroup stats;
-            return simulateKernel(cfg, *traces[i], stats);
+            return simulateKernel(cfg, traces[i], stats);
         },
         num_jobs);
     const RunResult &r_tri = results[0];
     const RunResult &r_key = results[1];
 
     t.addRow({"triangle keys (RT)",
-              std::to_string(run_tri.leafBytesPerKey),
+              std::to_string(tri.leafBytesPerKey),
               std::to_string(r_tri.cycles), "1.000"});
     t.addRow({"native keys (HSU)",
-              std::to_string(run_key.leafBytesPerKey),
+              std::to_string(key.leafBytesPerKey),
               std::to_string(r_key.cycles),
               Table::num(static_cast<double>(r_tri.cycles) /
                              static_cast<double>(r_key.cycles),
@@ -71,11 +74,11 @@ main(int argc, char **argv)
     // Sanity: both variants find the same keys.
     std::size_t hits = 0;
     for (std::size_t i = 0; i < probes.size(); ++i) {
-        if (run_tri.found[i] != run_key.found[i]) {
+        if (tri.found[i] != key.found[i]) {
             std::fprintf(stderr, "MISMATCH at probe %zu\n", i);
             return 1;
         }
-        hits += run_key.found[i];
+        hits += key.found[i];
     }
     std::printf("lookups=%zu found=%zu (variants agree)\n",
                 probes.size(), hits);

@@ -17,6 +17,7 @@
 
 #include "search/ggnn.hh"
 #include "sim/gpu.hh"
+#include "sim/lower.hh"
 #include "workloads/datasets.hh"
 
 using namespace hsu;
@@ -76,18 +77,18 @@ main()
     GgnnConfig gcfg;
     gcfg.k = 10;
     GgnnKernel kernel(graph, gcfg);
-    const GgnnRun run = kernel.run(users, KernelVariant::Hsu);
+    const GgnnEmit search = kernel.emit(users);
 
     std::printf("first user's top-5 items: ");
-    for (unsigned i = 0; i < 5 && i < run.results[0].size(); ++i) {
-        std::printf("#%u(%.3f) ", run.results[0][i].index,
-                    run.results[0][i].dist2);
+    for (unsigned i = 0; i < 5 && i < search.results[0].size(); ++i) {
+        std::printf("#%u(%.3f) ", search.results[0][i].index,
+                    search.results[0][i].dist2);
     }
     std::printf("\nrecall@10 vs brute force: %.1f%%\n",
-                100.0 * recallAt10(corpus, users, run.results));
+                100.0 * recallAt10(corpus, users, search.results));
     std::printf("distance evaluations: %llu (%.0f per query)\n\n",
-                static_cast<unsigned long long>(run.distanceTests),
-                static_cast<double>(run.distanceTests) / users.size());
+                static_cast<unsigned long long>(search.distanceTests),
+                static_cast<double>(search.distanceTests) / users.size());
 
     // Simulate both GPU variants.
     GpuConfig cfg;
@@ -96,10 +97,11 @@ main()
     GpuConfig base_cfg = cfg;
     base_cfg.rtUnitEnabled = false;
 
-    const GgnnRun base_run = kernel.run(users, KernelVariant::Baseline);
     StatGroup sb, sh;
-    const RunResult base = simulateKernel(base_cfg, base_run.trace, sb);
-    const RunResult hsu = simulateKernel(cfg, run.trace, sh);
+    const RunResult base = simulateKernel(
+        base_cfg, lowerTrace(search.sem, Lowering::baseline()), sb);
+    const RunResult hsu =
+        simulateKernel(cfg, lowerTrace(search.sem, Lowering::hsu()), sh);
     std::printf("baseline GPU: %llu cycles; with HSU: %llu cycles "
                 "(POINT_ANGULAR beats: %.0f)\n",
                 static_cast<unsigned long long>(base.cycles),

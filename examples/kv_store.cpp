@@ -14,6 +14,7 @@
 #include "search/btree_kernel.hh"
 #include "search/rtindex.hh"
 #include "sim/gpu.hh"
+#include "sim/lower.hh"
 #include "workloads/datasets.hh"
 
 using namespace hsu;
@@ -43,16 +44,15 @@ main()
     // Batch lookups through the kernel, baseline vs HSU.
     const auto probes = generateKeyQueries(info, 2048);
     BtreeKernel kernel(tree);
-    const auto base_run = kernel.run(probes, KernelVariant::Baseline);
-    const auto hsu_run = kernel.run(probes, KernelVariant::Hsu);
+    const BtreeEmit lookups = kernel.emit(probes);
 
     std::size_t hits = 0;
-    for (const auto &r : hsu_run.results)
+    for (const auto &r : lookups.results)
         hits += r.has_value();
     std::printf("batch of %zu probes: %zu hits, %llu separator "
                 "comparisons\n",
                 probes.size(), hits,
-                static_cast<unsigned long long>(hsu_run.keyCompares));
+                static_cast<unsigned long long>(lookups.keyCompares));
 
     GpuConfig cfg;
     cfg.numSms = 2;
@@ -60,8 +60,10 @@ main()
     GpuConfig base_cfg = cfg;
     base_cfg.rtUnitEnabled = false;
     StatGroup sb, sh;
-    const RunResult base = simulateKernel(base_cfg, base_run.trace, sb);
-    const RunResult hsu = simulateKernel(cfg, hsu_run.trace, sh);
+    const RunResult base = simulateKernel(
+        base_cfg, lowerTrace(lookups.sem, Lowering::baseline()), sb);
+    const RunResult hsu =
+        simulateKernel(cfg, lowerTrace(lookups.sem, Lowering::hsu()), sh);
     std::printf("baseline %llu cycles vs HSU %llu cycles: %.2fx "
                 "(KEY_COMPARE ops: %.0f)\n\n",
                 static_cast<unsigned long long>(base.cycles),
@@ -74,11 +76,13 @@ main()
     std::printf("== RTIndeX: triangle keys vs native keys ==\n");
     RtindexKernel index(keys);
     const auto probes2 = generateKeyQueries(info, 1024);
-    const auto tri = index.run(probes2, KernelVariant::Baseline);
-    const auto nat = index.run(probes2, KernelVariant::Hsu);
+    const RtindexEmit tri = index.emit(probes2, RtindexForm::Tri);
+    const RtindexEmit nat = index.emit(probes2, RtindexForm::Native);
     StatGroup st, sn;
-    const RunResult tri_r = simulateKernel(cfg, tri.trace, st);
-    const RunResult nat_r = simulateKernel(cfg, nat.trace, sn);
+    const RunResult tri_r = simulateKernel(
+        cfg, lowerTrace(tri.sem, Lowering::baseline()), st);
+    const RunResult nat_r =
+        simulateKernel(cfg, lowerTrace(nat.sem, Lowering::hsu()), sn);
     std::printf("triangle keys: %llu bytes/key leaf data, %llu cycles\n",
                 static_cast<unsigned long long>(tri.leafBytesPerKey),
                 static_cast<unsigned long long>(tri_r.cycles));

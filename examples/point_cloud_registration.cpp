@@ -14,6 +14,7 @@
 #include "search/bvhnn.hh"
 #include "search/runner.hh"
 #include "sim/gpu.hh"
+#include "sim/lower.hh"
 #include "workloads/datasets.hh"
 
 using namespace hsu;
@@ -49,13 +50,13 @@ main()
                 radius);
 
     // Correspondences for every moving point.
-    const BvhnnRun run = kernel.run(moving, KernelVariant::Hsu);
+    const BvhnnEmit search = kernel.emit(moving);
 
     // Estimate the translation from matched pairs.
     Vec3 delta{0, 0, 0};
     std::size_t matched = 0;
     for (std::size_t i = 0; i < moving.size(); ++i) {
-        const auto &hit = run.results[i];
+        const auto &hit = search.results[i];
         if (hit.index < 0)
             continue;
         delta += moving.vec3(i) -
@@ -76,10 +77,11 @@ main()
     cfg.finalize();
     GpuConfig base_cfg = cfg;
     base_cfg.rtUnitEnabled = false;
-    const BvhnnRun base_run = kernel.run(moving, KernelVariant::Baseline);
     StatGroup sb, sh;
-    const RunResult base = simulateKernel(base_cfg, base_run.trace, sb);
-    const RunResult hsu = simulateKernel(cfg, run.trace, sh);
+    const RunResult base = simulateKernel(
+        base_cfg, lowerTrace(search.sem, Lowering::baseline()), sb);
+    const RunResult hsu =
+        simulateKernel(cfg, lowerTrace(search.sem, Lowering::hsu()), sh);
     std::printf("baseline GPU: %llu cycles; with HSU: %llu cycles\n",
                 static_cast<unsigned long long>(base.cycles),
                 static_cast<unsigned long long>(hsu.cycles));

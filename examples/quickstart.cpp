@@ -3,9 +3,10 @@
  * Quickstart: the 5-minute tour of the HSU library.
  *
  * Builds a small 3-D point index, runs a nearest-neighbor search
- * through the HSU device API functionally, then simulates the same
- * kernel on the modeled GPU with and without the HSU and prints the
- * speedup — the paper's headline experiment in miniature.
+ * through the HSU device API functionally, then lowers the kernel's
+ * one trace with and without the HSU, simulates both on the modeled
+ * GPU and prints the speedup — the paper's headline experiment in
+ * miniature.
  *
  * Run:  ./build/examples/quickstart
  */
@@ -16,6 +17,7 @@
 #include "search/bvhnn.hh"
 #include "search/runner.hh"
 #include "sim/gpu.hh"
+#include "sim/lower.hh"
 #include "structures/lbvh.hh"
 #include "workloads/datasets.hh"
 
@@ -44,31 +46,34 @@ main()
     std::printf("built LBVH over %zu points (%zu nodes, radius %.3f)\n",
                 points.size(), bvh.size(), radius);
 
-    // 3. Run a radius nearest-neighbor kernel functionally.
+    // 3. Run a radius nearest-neighbor kernel functionally. It emits
+    //    one semantic trace: which ops run on the HSU is decided later,
+    //    when the trace is lowered.
     BvhnnKernel kernel(points, bvh, BvhnnConfig{radius});
     const PointSet queries = generateQueries(info, 512);
-    const BvhnnRun hsu_run = kernel.run(queries, KernelVariant::Hsu);
+    const BvhnnEmit emitted = kernel.emit(queries);
     std::size_t found = 0;
-    for (const auto &r : hsu_run.results)
+    for (const auto &r : emitted.results)
         found += r.index >= 0;
     std::printf("radius search: %zu/%zu queries found a neighbor "
                 "(%llu box tests)\n\n",
                 found, queries.size(),
-                static_cast<unsigned long long>(hsu_run.boxTests));
+                static_cast<unsigned long long>(emitted.boxTests));
 
-    // 4. Simulate on the modeled GPU: baseline vs HSU.
+    // 4. Lower the trace both ways and simulate on the modeled GPU:
+    //    baseline vs HSU.
     GpuConfig cfg;
     cfg.numSms = 2;
     cfg.finalize();
 
-    const BvhnnRun base_run =
-        kernel.run(queries, KernelVariant::Baseline);
     StatGroup base_stats, hsu_stats;
     GpuConfig base_cfg = cfg;
     base_cfg.rtUnitEnabled = false;
-    const RunResult base =
-        simulateKernel(base_cfg, base_run.trace, base_stats);
-    const RunResult hsu = simulateKernel(cfg, hsu_run.trace, hsu_stats);
+    const RunResult base = simulateKernel(
+        base_cfg, lowerTrace(emitted.sem, Lowering::baseline()),
+        base_stats);
+    const RunResult hsu = simulateKernel(
+        cfg, lowerTrace(emitted.sem, Lowering::hsu()), hsu_stats);
 
     std::printf("baseline GPU : %llu cycles\n",
                 static_cast<unsigned long long>(base.cycles));

@@ -97,16 +97,4 @@ BtreeKernel::emit(const std::vector<std::uint32_t> &keys) const
     return out;
 }
 
-BtreeRun
-BtreeKernel::run(const std::vector<std::uint32_t> &keys,
-                 KernelVariant variant, const DatapathConfig &dp) const
-{
-    BtreeEmit e = emit(keys);
-    BtreeRun out;
-    out.trace = lowerTrace(e.sem, loweringFor(variant, dp));
-    out.results = std::move(e.results);
-    out.keyCompares = e.keyCompares;
-    return out;
-}
-
 } // namespace hsu

@@ -17,8 +17,8 @@
 #include <optional>
 #include <vector>
 
-#include "search/ggnn.hh" // KernelVariant
-#include "sim/trace.hh"
+#include "search/layout.hh"
+#include "sim/ir.hh"
 #include "structures/btree.hh"
 
 namespace hsu
@@ -32,14 +32,6 @@ struct BtreeEmit
     std::uint64_t keyCompares = 0; //!< separator comparisons executed
 };
 
-/** Run artifacts. */
-struct BtreeRun
-{
-    KernelTrace trace;
-    std::vector<std::optional<std::uint32_t>> results;
-    std::uint64_t keyCompares = 0; //!< separator comparisons executed
-};
-
 /** The lookup kernel bound to a prebuilt B+tree. */
 class BtreeKernel
 {
@@ -48,11 +40,6 @@ class BtreeKernel
 
     /** Look up all @p keys (32 per warp) and emit semantic traces. */
     BtreeEmit emit(const std::vector<std::uint32_t> &keys) const;
-
-    /** emit() + lowerTrace() convenience (legacy two-point API). */
-    BtreeRun run(const std::vector<std::uint32_t> &keys,
-                 KernelVariant variant,
-                 const DatapathConfig &dp = DatapathConfig{}) const;
 
   private:
     const BTree &tree_;

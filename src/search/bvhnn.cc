@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "sim/lower.hh"
 
 namespace hsu
 {
@@ -357,19 +358,6 @@ BvhnnKernel::emitBvh4(const PointSet &queries) const
                           lanes[l].best >= 0 ? lanes[l].bestD2 : 0.0f};
         }
     }
-    return out;
-}
-
-BvhnnRun
-BvhnnKernel::run(const PointSet &queries, KernelVariant variant,
-                 const DatapathConfig &dp) const
-{
-    BvhnnEmit e = emit(queries);
-    BvhnnRun out;
-    out.trace = lowerTrace(e.sem, loweringFor(variant, dp));
-    out.results = std::move(e.results);
-    out.boxTests = e.boxTests;
-    out.distanceTests = e.distanceTests;
     return out;
 }
 

@@ -21,8 +21,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "search/ggnn.hh" // KernelVariant
-#include "sim/trace.hh"
+#include "search/layout.hh"
+#include "sim/ir.hh"
 #include "structures/lbvh.hh"
 #include "structures/pointset.hh"
 
@@ -60,15 +60,6 @@ struct BvhnnEmit
     std::uint64_t distanceTests = 0;
 };
 
-/** Run artifacts. */
-struct BvhnnRun
-{
-    KernelTrace trace;
-    std::vector<RadiusHit> results;
-    std::uint64_t boxTests = 0;
-    std::uint64_t distanceTests = 0;
-};
-
 /** The BVH-NN kernel bound to a prebuilt LBVH over a point set. */
 class BvhnnKernel
 {
@@ -79,10 +70,6 @@ class BvhnnKernel
     /** Run all queries (32 per warp) and emit semantic traces
      *  (binary or 4-wide per cfg.useBvh4). */
     BvhnnEmit emit(const PointSet &queries) const;
-
-    /** emit() + lowerTrace() convenience (legacy two-point API). */
-    BvhnnRun run(const PointSet &queries, KernelVariant variant,
-                 const DatapathConfig &dp = DatapathConfig{}) const;
 
   private:
     /** Traversal over the 4-wide collapsed BVH (ablation mode). */

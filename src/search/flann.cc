@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/logging.hh"
+#include "sim/lower.hh"
 
 namespace hsu
 {
@@ -220,19 +221,6 @@ FlannKernel::emit(const PointSet &queries) const
                 out.results[q] = lanes[l].best;
         }
     }
-    return out;
-}
-
-FlannRun
-FlannKernel::run(const PointSet &queries, KernelVariant variant,
-                 const DatapathConfig &dp) const
-{
-    FlannEmit e = emit(queries);
-    FlannRun out;
-    out.trace = lowerTrace(e.sem, loweringFor(variant, dp));
-    out.results = std::move(e.results);
-    out.nodeSteps = e.nodeSteps;
-    out.distanceTests = e.distanceTests;
     return out;
 }
 

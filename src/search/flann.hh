@@ -18,32 +18,17 @@
 #include <cstdint>
 #include <vector>
 
-#include "search/ggnn.hh" // KernelVariant
-#include "sim/trace.hh"
+#include "search/layout.hh"
+#include "sim/ir.hh"
 #include "structures/kdtree.hh"
 
 namespace hsu
 {
 
-/** FLANN kernel parameters. */
-struct FlannConfig
-{
-    unsigned leafSize = 8; //!< tree leaf capacity (build-time)
-};
-
 /** Emission artifacts: functional results + the semantic trace. */
 struct FlannEmit
 {
     SemKernelTrace sem;
-    std::vector<Neighbor> results; //!< exact 1-NN per query
-    std::uint64_t nodeSteps = 0;
-    std::uint64_t distanceTests = 0;
-};
-
-/** Run artifacts. */
-struct FlannRun
-{
-    KernelTrace trace;
     std::vector<Neighbor> results; //!< exact 1-NN per query
     std::uint64_t nodeSteps = 0;
     std::uint64_t distanceTests = 0;
@@ -57,10 +42,6 @@ class FlannKernel
 
     /** Run all queries (32 per warp) and emit semantic traces. */
     FlannEmit emit(const PointSet &queries) const;
-
-    /** emit() + lowerTrace() convenience (legacy two-point API). */
-    FlannRun run(const PointSet &queries, KernelVariant variant,
-                 const DatapathConfig &dp = DatapathConfig{}) const;
 
   private:
     const KdTree &tree_;

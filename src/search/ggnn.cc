@@ -7,6 +7,7 @@
 
 #include "common/audit.hh"
 #include "common/logging.hh"
+#include "sim/lower.hh"
 
 namespace hsu
 {
@@ -223,18 +224,6 @@ GgnnKernel::emit(const PointSet &queries) const
         out.results.push_back(std::move(res));
         out.distanceTests += ctx.distanceTests;
     }
-    return out;
-}
-
-GgnnRun
-GgnnKernel::run(const PointSet &queries, KernelVariant variant,
-                const DatapathConfig &dp) const
-{
-    GgnnEmit e = emit(queries);
-    GgnnRun out;
-    out.trace = lowerTrace(e.sem, loweringFor(variant, dp));
-    out.results = std::move(e.results);
-    out.distanceTests = e.distanceTests;
     return out;
 }
 

@@ -21,11 +21,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "hsu/isa.hh"
 #include "search/layout.hh"
 #include "sim/ir.hh"
-#include "sim/lower.hh"
-#include "sim/trace.hh"
 #include "structures/graph.hh"
 
 namespace hsu
@@ -35,22 +32,13 @@ namespace hsu
 struct GgnnConfig
 {
     unsigned k = 10;
-    unsigned ef = 32;            //!< layer-0 beam width
-    HnswParams graphParams{};
+    unsigned ef = 32; //!< layer-0 beam width
 };
 
 /** Emission artifacts: functional results + the semantic trace. */
 struct GgnnEmit
 {
     SemKernelTrace sem;
-    std::vector<std::vector<Neighbor>> results; //!< per query, sorted
-    std::uint64_t distanceTests = 0;            //!< candidate evals
-};
-
-/** Execution artifacts: functional results + the lowered trace. */
-struct GgnnRun
-{
-    KernelTrace trace;
     std::vector<std::vector<Neighbor>> results; //!< per query, sorted
     std::uint64_t distanceTests = 0;            //!< candidate evals
 };
@@ -71,10 +59,6 @@ class GgnnKernel
      * lowerTrace() to pick an instruction flavor.
      */
     GgnnEmit emit(const PointSet &queries) const;
-
-    /** emit() + lowerTrace() convenience (legacy two-point API). */
-    GgnnRun run(const PointSet &queries, KernelVariant variant,
-                const DatapathConfig &dp = DatapathConfig{}) const;
 
   private:
     struct EmitCtx;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "sim/lower.hh"
 
 namespace hsu
 {
@@ -210,20 +211,6 @@ RtindexKernel::emit(const std::vector<std::uint32_t> &probes,
         }
         sb.storePattern(resultBase_ + w * kWarpSize * 4, 4, 4, alive);
     }
-    return out;
-}
-
-RtindexRun
-RtindexKernel::run(const std::vector<std::uint32_t> &probes,
-                   KernelVariant variant, const DatapathConfig &dp) const
-{
-    RtindexEmit e = emit(probes, variant == KernelVariant::Baseline
-                                     ? RtindexForm::Tri
-                                     : RtindexForm::Native);
-    RtindexRun out;
-    out.trace = lowerTrace(e.sem, loweringFor(variant, dp));
-    out.found = std::move(e.found);
-    out.leafBytesPerKey = e.leafBytesPerKey;
     return out;
 }
 

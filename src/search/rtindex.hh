@@ -25,8 +25,8 @@
 #include <optional>
 #include <vector>
 
-#include "search/ggnn.hh" // KernelVariant
-#include "sim/trace.hh"
+#include "search/layout.hh"
+#include "sim/ir.hh"
 #include "structures/lbvh.hh"
 
 namespace hsu
@@ -43,14 +43,6 @@ enum class RtindexForm : std::uint8_t
 {
     Tri,    //!< RTIndeX triangle primitives, ray-tri leaf tests
     Native, //!< native 4B keys, KEY_COMPARE leaf probes
-};
-
-/** Run artifacts. */
-struct RtindexRun
-{
-    KernelTrace trace;
-    std::vector<bool> found;
-    std::uint64_t leafBytesPerKey = 0; //!< 36 (triangle) or 4 (native)
 };
 
 /** Emission artifacts: functional results + the semantic trace. */
@@ -72,15 +64,6 @@ class RtindexKernel
      *  emit semantic traces. */
     RtindexEmit emit(const std::vector<std::uint32_t> &probes,
                      RtindexForm form) const;
-
-    /**
-     * Legacy two-point API: the variant maps to the key
-     * representation (Baseline = Tri on the stock RT unit,
-     * Hsu = Native with KEY_COMPARE).
-     */
-    RtindexRun run(const std::vector<std::uint32_t> &probes,
-                   KernelVariant variant,
-                   const DatapathConfig &dp = DatapathConfig{}) const;
 
     const Lbvh &bvh() const { return bvh_; }
 

@@ -54,8 +54,12 @@
 namespace hsu
 {
 
-/** Which trace flavor a kernel run produces (legacy two-point API;
- *  loweringFor() maps it onto a Lowering). */
+/**
+ * The two machines a whole run is lowered for: the non-RT baseline GPU
+ * and the GPU with the HSU. The batch and serving emitters
+ * (emitIndexTrace, emitBatchTrace, emitShardBatchTrace) take one;
+ * loweringFor() maps it onto its Lowering.
+ */
 enum class KernelVariant : std::uint8_t
 {
     Baseline, //!< non-RT GPU: everything on the SIMD pipelines
@@ -137,7 +141,7 @@ struct Lowering
     }
 };
 
-/** The Lowering equivalent of the legacy two-point variant API. */
+/** The Lowering of a KernelVariant: Baseline or Hsu. */
 inline Lowering
 loweringFor(KernelVariant variant,
             const DatapathConfig &dp = DatapathConfig{})

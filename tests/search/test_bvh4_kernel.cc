@@ -9,6 +9,7 @@
 
 #include "../test_util.hh"
 #include "search/bvhnn.hh"
+#include "sim/lower.hh"
 
 namespace hsu
 {
@@ -24,9 +25,9 @@ TEST(Bvh4Kernel, MatchesBinaryAndBruteForce)
     BvhnnKernel wide(pts, bvh, BvhnnConfig{r, true});
     const PointSet queries = test::randomCloud(150, 3, 42);
 
-    const auto bin = binary.run(queries, KernelVariant::Hsu);
-    const auto w4 = wide.run(queries, KernelVariant::Hsu);
-    EXPECT_TRUE(test::traceWellFormed(w4.trace));
+    const BvhnnEmit bin = binary.emit(queries);
+    const BvhnnEmit w4 = wide.emit(queries);
+    EXPECT_TRUE(test::traceWellFormed(lowerTrace(w4.sem, Lowering::hsu())));
 
     for (std::size_t q = 0; q < queries.size(); ++q) {
         EXPECT_EQ(bin.results[q].index, w4.results[q].index)
@@ -54,8 +55,10 @@ TEST(Bvh4Kernel, FewerWiderNodeFetches)
     BvhnnKernel wide(pts, bvh, BvhnnConfig{r, true});
     const PointSet queries = test::randomCloud(128, 3, 44);
 
-    const auto bin = binary.run(queries, KernelVariant::Hsu);
-    const auto w4 = wide.run(queries, KernelVariant::Hsu);
+    const KernelTrace bin =
+        lowerTrace(binary.emit(queries).sem, Lowering::hsu());
+    const KernelTrace w4 =
+        lowerTrace(wide.emit(queries).sem, Lowering::hsu());
 
     // Count box-mode HSU instructions and bytes per instruction.
     auto box_ops = [](const KernelTrace &kt) {
@@ -70,10 +73,10 @@ TEST(Bvh4Kernel, FewerWiderNodeFetches)
         }
         return n;
     };
-    EXPECT_LT(box_ops(w4.trace), box_ops(bin.trace));
+    EXPECT_LT(box_ops(w4), box_ops(bin));
 
     // The 4-wide node is a 128B fetch (vs 64B binary nodes).
-    for (const auto &w : w4.trace.warps) {
+    for (const auto &w : w4.warps) {
         for (const auto &op : w.ops) {
             if (op.type == OpType::HsuOp &&
                 op.hsuMode == HsuMode::RayBox) {
@@ -90,11 +93,9 @@ TEST(Bvh4Kernel, BaselineVariantAgreesToo)
     const Lbvh bvh = Lbvh::buildFromPoints(pts, r);
     BvhnnKernel wide(pts, bvh, BvhnnConfig{r, true});
     const PointSet queries = test::randomCloud(64, 3, 46);
-    const auto base = wide.run(queries, KernelVariant::Baseline);
-    const auto hsu = wide.run(queries, KernelVariant::Hsu);
-    for (std::size_t q = 0; q < queries.size(); ++q)
-        EXPECT_EQ(base.results[q].index, hsu.results[q].index);
-    EXPECT_EQ(test::countOps(base.trace, OpType::HsuOp), 0u);
+    const KernelTrace base =
+        lowerTrace(wide.emit(queries).sem, Lowering::baseline());
+    EXPECT_EQ(test::countOps(base, OpType::HsuOp), 0u);
 }
 
 } // namespace

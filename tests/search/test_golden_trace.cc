@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "golden_workloads.hh"
+#include "sim/lower.hh"
 #include "sim/trace_stats.hh"
 
 namespace hsu
@@ -21,17 +22,21 @@ namespace hsu
 namespace
 {
 
+/** Fingerprint of @p sem lowered under @p low. */
+std::uint64_t
+pin(const SemKernelTrace &sem, const Lowering &low)
+{
+    return traceFingerprint(lowerTrace(sem, low));
+}
+
 TEST(GoldenTrace, GgnnEuclid)
 {
     const auto w = golden::ggnnEuclid();
     const HnswGraph g = HnswGraph::build(w.points, Metric::Euclidean);
     const GgnnKernel k(g, GgnnConfig{});
-    EXPECT_EQ(
-        traceFingerprint(k.run(w.queries, KernelVariant::Baseline).trace),
-        0x1c4be218d7cda5ebull);
-    EXPECT_EQ(
-        traceFingerprint(k.run(w.queries, KernelVariant::Hsu).trace),
-        0x1fb71806993628f7ull);
+    const SemKernelTrace sem = k.emit(w.queries).sem;
+    EXPECT_EQ(pin(sem, Lowering::baseline()), 0x1c4be218d7cda5ebull);
+    EXPECT_EQ(pin(sem, Lowering::hsu()), 0x1fb71806993628f7ull);
 }
 
 TEST(GoldenTrace, GgnnAngular)
@@ -39,12 +44,9 @@ TEST(GoldenTrace, GgnnAngular)
     const auto w = golden::ggnnAngular();
     const HnswGraph g = HnswGraph::build(w.points, Metric::Angular);
     const GgnnKernel k(g, GgnnConfig{});
-    EXPECT_EQ(
-        traceFingerprint(k.run(w.queries, KernelVariant::Baseline).trace),
-        0x6beaffe90e69beb2ull);
-    EXPECT_EQ(
-        traceFingerprint(k.run(w.queries, KernelVariant::Hsu).trace),
-        0xe63b6381ee506f8dull);
+    const SemKernelTrace sem = k.emit(w.queries).sem;
+    EXPECT_EQ(pin(sem, Lowering::baseline()), 0x6beaffe90e69beb2ull);
+    EXPECT_EQ(pin(sem, Lowering::hsu()), 0xe63b6381ee506f8dull);
 }
 
 TEST(GoldenTrace, Flann)
@@ -52,12 +54,9 @@ TEST(GoldenTrace, Flann)
     const auto w = golden::pointCloud();
     const KdTree tree = KdTree::build(w.points, 16);
     const FlannKernel k(tree);
-    EXPECT_EQ(
-        traceFingerprint(k.run(w.queries, KernelVariant::Baseline).trace),
-        0x7131b4f0681ce5a5ull);
-    EXPECT_EQ(
-        traceFingerprint(k.run(w.queries, KernelVariant::Hsu).trace),
-        0x42f202036ccad617ull);
+    const SemKernelTrace sem = k.emit(w.queries).sem;
+    EXPECT_EQ(pin(sem, Lowering::baseline()), 0x7131b4f0681ce5a5ull);
+    EXPECT_EQ(pin(sem, Lowering::hsu()), 0x42f202036ccad617ull);
 }
 
 TEST(GoldenTrace, Bvhnn)
@@ -65,12 +64,9 @@ TEST(GoldenTrace, Bvhnn)
     const auto w = golden::pointCloud();
     const Lbvh bvh = Lbvh::buildFromPoints(w.points, w.radius);
     const BvhnnKernel k(w.points, bvh, BvhnnConfig{w.radius});
-    EXPECT_EQ(
-        traceFingerprint(k.run(w.queries, KernelVariant::Baseline).trace),
-        0x9eecd778343dd9d6ull);
-    EXPECT_EQ(
-        traceFingerprint(k.run(w.queries, KernelVariant::Hsu).trace),
-        0xe6a7849816cbf1daull);
+    const SemKernelTrace sem = k.emit(w.queries).sem;
+    EXPECT_EQ(pin(sem, Lowering::baseline()), 0x9eecd778343dd9d6ull);
+    EXPECT_EQ(pin(sem, Lowering::hsu()), 0xe6a7849816cbf1daull);
 }
 
 TEST(GoldenTrace, Bvhnn4Wide)
@@ -80,12 +76,9 @@ TEST(GoldenTrace, Bvhnn4Wide)
     BvhnnConfig cfg{w.radius};
     cfg.useBvh4 = true;
     const BvhnnKernel k(w.points, bvh, cfg);
-    EXPECT_EQ(
-        traceFingerprint(k.run(w.queries, KernelVariant::Baseline).trace),
-        0x791edbb4f38453a4ull);
-    EXPECT_EQ(
-        traceFingerprint(k.run(w.queries, KernelVariant::Hsu).trace),
-        0xce9c813062751118ull);
+    const SemKernelTrace sem = k.emit(w.queries).sem;
+    EXPECT_EQ(pin(sem, Lowering::baseline()), 0x791edbb4f38453a4ull);
+    EXPECT_EQ(pin(sem, Lowering::hsu()), 0xce9c813062751118ull);
 }
 
 TEST(GoldenTrace, Btree)
@@ -93,38 +86,33 @@ TEST(GoldenTrace, Btree)
     auto w = golden::btreeKeys();
     const BTree tree = BTree::build(std::move(w.pairs), 256);
     const BtreeKernel k(tree);
-    EXPECT_EQ(
-        traceFingerprint(k.run(w.probes, KernelVariant::Baseline).trace),
-        0x8536067922c74932ull);
-    EXPECT_EQ(
-        traceFingerprint(k.run(w.probes, KernelVariant::Hsu).trace),
-        0x0def584e4e6ba08eull);
+    const SemKernelTrace sem = k.emit(w.probes).sem;
+    EXPECT_EQ(pin(sem, Lowering::baseline()), 0x8536067922c74932ull);
+    EXPECT_EQ(pin(sem, Lowering::hsu()), 0x0def584e4e6ba08eull);
 }
 
 TEST(GoldenTrace, Rtindex)
 {
     const auto w = golden::rtindexKeys();
     const RtindexKernel k(w.keys);
-    EXPECT_EQ(
-        traceFingerprint(k.run(w.probes, KernelVariant::Baseline).trace),
-        0x261175e7a477f705ull);
-    EXPECT_EQ(
-        traceFingerprint(k.run(w.probes, KernelVariant::Hsu).trace),
-        0xb105970b27344ae2ull);
+    EXPECT_EQ(pin(k.emit(w.probes, RtindexForm::Tri).sem,
+                  Lowering::baseline()),
+              0x261175e7a477f705ull);
+    EXPECT_EQ(pin(k.emit(w.probes, RtindexForm::Native).sem,
+                  Lowering::hsu()),
+              0xb105970b27344ae2ull);
 }
 
-// The PartialOffload lowering's endpoints are the two-point API: the
-// explicit emit+lower path at fraction 0/1 must equal run(variant).
+// PartialOffload at fraction 0 and 1 must reproduce the Baseline and
+// Hsu lowerings of the same trace (the pins of GoldenTrace.Bvhnn).
 TEST(GoldenTrace, PartialOffloadEndpoints)
 {
     const auto w = golden::pointCloud();
     const Lbvh bvh = Lbvh::buildFromPoints(w.points, w.radius);
     const BvhnnKernel k(w.points, bvh, BvhnnConfig{w.radius});
     const SemKernelTrace sem = k.emit(w.queries).sem;
-    EXPECT_EQ(traceFingerprint(lowerTrace(sem, Lowering::partial(0.0))),
-              0x9eecd778343dd9d6ull);
-    EXPECT_EQ(traceFingerprint(lowerTrace(sem, Lowering::partial(1.0))),
-              0xe6a7849816cbf1daull);
+    EXPECT_EQ(pin(sem, Lowering::partial(0.0)), 0x9eecd778343dd9d6ull);
+    EXPECT_EQ(pin(sem, Lowering::partial(1.0)), 0xe6a7849816cbf1daull);
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
  * Search-kernel tests: each kernel's functional results must match an
- * independent reference, both trace variants must be well formed, and
- * baseline/HSU variants must compute identical results.
+ * independent reference, and its one emitted trace must lower to
+ * well-formed baseline and HSU traces.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "search/flann.hh"
 #include "search/ggnn.hh"
 #include "search/rtindex.hh"
+#include "sim/lower.hh"
 #include "workloads/datasets.hh"
 
 namespace hsu
@@ -30,8 +31,8 @@ TEST(BvhnnKernel, MatchesBruteForceRadiusNN)
     BvhnnKernel kernel(pts, bvh, BvhnnConfig{r});
     const PointSet queries = test::randomCloud(200, 3, 22);
 
-    const BvhnnRun run = kernel.run(queries, KernelVariant::Hsu);
-    EXPECT_TRUE(test::traceWellFormed(run.trace));
+    const BvhnnEmit got = kernel.emit(queries);
+    EXPECT_TRUE(test::traceWellFormed(lowerTrace(got.sem, Lowering::hsu())));
 
     for (std::size_t q = 0; q < queries.size(); ++q) {
         // Brute-force nearest within radius.
@@ -44,9 +45,9 @@ TEST(BvhnnKernel, MatchesBruteForceRadiusNN)
                 best = static_cast<int>(i);
             }
         }
-        EXPECT_EQ(run.results[q].index, best) << "query " << q;
+        EXPECT_EQ(got.results[q].index, best) << "query " << q;
         if (best >= 0) {
-            EXPECT_FLOAT_EQ(run.results[q].dist2, best_d2);
+            EXPECT_FLOAT_EQ(got.results[q].dist2, best_d2);
         }
     }
 }
@@ -59,14 +60,13 @@ TEST(BvhnnKernel, VariantsAgreeAndDifferInOps)
     BvhnnKernel kernel(pts, bvh, BvhnnConfig{r});
     const PointSet queries = test::randomCloud(64, 3, 24);
 
-    const auto base = kernel.run(queries, KernelVariant::Baseline);
-    const auto hsu = kernel.run(queries, KernelVariant::Hsu);
-    for (std::size_t q = 0; q < queries.size(); ++q)
-        EXPECT_EQ(base.results[q].index, hsu.results[q].index);
-    EXPECT_EQ(test::countOps(base.trace, OpType::HsuOp), 0u);
-    EXPECT_GT(test::countOps(hsu.trace, OpType::HsuOp), 0u);
-    EXPECT_GT(test::countOps(base.trace, OpType::Load),
-              test::countOps(hsu.trace, OpType::Load));
+    const SemKernelTrace sem = kernel.emit(queries).sem;
+    const KernelTrace base = lowerTrace(sem, Lowering::baseline());
+    const KernelTrace hsu = lowerTrace(sem, Lowering::hsu());
+    EXPECT_EQ(test::countOps(base, OpType::HsuOp), 0u);
+    EXPECT_GT(test::countOps(hsu, OpType::HsuOp), 0u);
+    EXPECT_GT(test::countOps(base, OpType::Load),
+              test::countOps(hsu, OpType::Load));
 }
 
 TEST(FlannKernel, MatchesBruteForce1NN)
@@ -76,11 +76,11 @@ TEST(FlannKernel, MatchesBruteForce1NN)
     FlannKernel kernel(tree);
     const PointSet queries = test::randomCloud(150, 3, 26);
 
-    const FlannRun run = kernel.run(queries, KernelVariant::Hsu);
-    EXPECT_TRUE(test::traceWellFormed(run.trace));
+    const FlannEmit got = kernel.emit(queries);
+    EXPECT_TRUE(test::traceWellFormed(lowerTrace(got.sem, Lowering::hsu())));
     for (std::size_t q = 0; q < queries.size(); ++q) {
         const auto want = test::bruteKnn(pts, queries[q], 1);
-        EXPECT_FLOAT_EQ(run.results[q].dist2, want[0].dist2)
+        EXPECT_FLOAT_EQ(got.results[q].dist2, want[0].dist2)
             << "query " << q;
     }
 }
@@ -91,13 +91,9 @@ TEST(FlannKernel, VariantsAgree)
     const KdTree tree = KdTree::build(pts, 16);
     FlannKernel kernel(tree);
     const PointSet queries = test::randomCloud(64, 3, 28);
-    const auto base = kernel.run(queries, KernelVariant::Baseline);
-    const auto hsu = kernel.run(queries, KernelVariant::Hsu);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-        EXPECT_EQ(base.results[q].index, hsu.results[q].index);
-        EXPECT_EQ(base.results[q].dist2, hsu.results[q].dist2);
-    }
-    EXPECT_TRUE(test::traceWellFormed(base.trace));
+    const SemKernelTrace sem = kernel.emit(queries).sem;
+    EXPECT_TRUE(
+        test::traceWellFormed(lowerTrace(sem, Lowering::baseline())));
 }
 
 TEST(GgnnKernel, HighRecallOnClusteredData)
@@ -108,16 +104,16 @@ TEST(GgnnKernel, HighRecallOnClusteredData)
     GgnnKernel kernel(graph, GgnnConfig{});
     const PointSet queries = generateQueries(info, 24);
 
-    const GgnnRun run = kernel.run(queries, KernelVariant::Hsu);
-    EXPECT_TRUE(test::traceWellFormed(run.trace));
-    ASSERT_EQ(run.results.size(), queries.size());
+    const GgnnEmit got = kernel.emit(queries);
+    EXPECT_TRUE(test::traceWellFormed(lowerTrace(got.sem, Lowering::hsu())));
+    ASSERT_EQ(got.results.size(), queries.size());
 
     double recall = 0;
     for (std::size_t q = 0; q < queries.size(); ++q) {
         const auto want = test::bruteKnn(pts, queries[q], 10);
         std::size_t hits = 0;
         for (const auto &w : want) {
-            for (const auto &g : run.results[q]) {
+            for (const auto &g : got.results[q]) {
                 if (g.index == w.index) {
                     ++hits;
                     break;
@@ -130,32 +126,16 @@ TEST(GgnnKernel, HighRecallOnClusteredData)
     EXPECT_GE(recall, 0.8);
 }
 
-TEST(GgnnKernel, VariantsAgreeExactly)
-{
-    const PointSet pts = test::randomCloud(600, 24, 29);
-    const HnswGraph graph = HnswGraph::build(pts, Metric::Euclidean);
-    GgnnKernel kernel(graph, GgnnConfig{});
-    const PointSet queries = test::randomCloud(16, 24, 30);
-    const auto base = kernel.run(queries, KernelVariant::Baseline);
-    const auto hsu = kernel.run(queries, KernelVariant::Hsu);
-    ASSERT_EQ(base.results.size(), hsu.results.size());
-    for (std::size_t q = 0; q < base.results.size(); ++q) {
-        ASSERT_EQ(base.results[q].size(), hsu.results[q].size());
-        for (std::size_t i = 0; i < base.results[q].size(); ++i)
-            EXPECT_EQ(base.results[q][i].index, hsu.results[q][i].index);
-    }
-    EXPECT_EQ(base.distanceTests, hsu.distanceTests);
-}
-
 TEST(GgnnKernel, AngularUsesAngularInstructions)
 {
     const PointSet pts = test::randomCloud(400, 16, 31);
     const HnswGraph graph = HnswGraph::build(pts, Metric::Angular);
     GgnnKernel kernel(graph, GgnnConfig{});
     const PointSet queries = test::randomCloud(8, 16, 32);
-    const auto hsu = kernel.run(queries, KernelVariant::Hsu);
+    const KernelTrace hsu =
+        lowerTrace(kernel.emit(queries).sem, Lowering::hsu());
     std::size_t angular_ops = 0, euclid_ops = 0;
-    for (const auto &w : hsu.trace.warps) {
+    for (const auto &w : hsu.warps) {
         for (const auto &op : w.ops) {
             if (op.type != OpType::HsuOp)
                 continue;
@@ -185,17 +165,16 @@ TEST(BtreeKernel, LookupsMatchTree)
         probes.push_back(
             static_cast<std::uint32_t>(rng.nextBounded(1u << 24)));
     }
-    const auto base = kernel.run(probes, KernelVariant::Baseline);
-    const auto hsu = kernel.run(probes, KernelVariant::Hsu);
-    EXPECT_TRUE(test::traceWellFormed(base.trace));
-    EXPECT_TRUE(test::traceWellFormed(hsu.trace));
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-        EXPECT_EQ(base.results[i], tree.lookup(probes[i])) << i;
-        EXPECT_EQ(hsu.results[i], base.results[i]) << i;
-    }
+    const BtreeEmit got = kernel.emit(probes);
+    const KernelTrace base = lowerTrace(got.sem, Lowering::baseline());
+    const KernelTrace hsu = lowerTrace(got.sem, Lowering::hsu());
+    EXPECT_TRUE(test::traceWellFormed(base));
+    EXPECT_TRUE(test::traceWellFormed(hsu));
+    for (std::size_t i = 0; i < probes.size(); ++i)
+        EXPECT_EQ(got.results[i], tree.lookup(probes[i])) << i;
     // HSU replaces the internal-node scans with KEY_COMPARE ops.
-    EXPECT_GT(test::countOps(hsu.trace, OpType::HsuOp), 0u);
-    EXPECT_EQ(test::countOps(base.trace, OpType::HsuOp), 0u);
+    EXPECT_GT(test::countOps(hsu, OpType::HsuOp), 0u);
+    EXPECT_EQ(test::countOps(base, OpType::HsuOp), 0u);
 }
 
 TEST(RtindexKernel, BothVariantsFindExactlyPresentKeys)
@@ -214,8 +193,8 @@ TEST(RtindexKernel, BothVariantsFindExactlyPresentKeys)
         probes.push_back(
             static_cast<std::uint32_t>(rng.nextBounded(max_key + 50)));
 
-    const auto tri = index.run(probes, KernelVariant::Baseline);
-    const auto key = index.run(probes, KernelVariant::Hsu);
+    const RtindexEmit tri = index.emit(probes, RtindexForm::Tri);
+    const RtindexEmit key = index.emit(probes, RtindexForm::Native);
     EXPECT_EQ(tri.leafBytesPerKey, 36u);
     EXPECT_EQ(key.leafBytesPerKey, 4u);
     for (std::size_t i = 0; i < probes.size(); ++i) {

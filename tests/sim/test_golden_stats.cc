@@ -27,6 +27,7 @@
 #include "../search/golden_workloads.hh"
 #include "common/stats.hh"
 #include "sim/gpu.hh"
+#include "sim/lower.hh"
 
 namespace hsu
 {
@@ -48,52 +49,51 @@ goldenCases()
 {
     static const std::vector<GoldenCase> cases = [] {
         std::vector<GoldenCase> out;
-        const auto add = [&out](std::string name, auto &&run,
-                                bool base_on_rt = false) {
-            out.push_back({std::move(name), run(KernelVariant::Baseline),
-                           run(KernelVariant::Hsu), base_on_rt});
+        const auto add = [&out](std::string name,
+                                const SemKernelTrace &sem) {
+            out.push_back({std::move(name),
+                           lowerTrace(sem, Lowering::baseline()),
+                           lowerTrace(sem, Lowering::hsu())});
         };
         {
             const auto w = golden::ggnnEuclid();
             const HnswGraph g = HnswGraph::build(w.points, Metric::Euclidean);
-            const GgnnKernel k(g, GgnnConfig{});
             add("ggnn_euclid",
-                [&](KernelVariant v) { return k.run(w.queries, v).trace; });
+                GgnnKernel(g, GgnnConfig{}).emit(w.queries).sem);
         }
         {
             const auto w = golden::ggnnAngular();
             const HnswGraph g = HnswGraph::build(w.points, Metric::Angular);
-            const GgnnKernel k(g, GgnnConfig{});
             add("ggnn_angular",
-                [&](KernelVariant v) { return k.run(w.queries, v).trace; });
+                GgnnKernel(g, GgnnConfig{}).emit(w.queries).sem);
         }
         const auto pc = golden::pointCloud();
         {
             const KdTree tree = KdTree::build(pc.points, 16);
-            const FlannKernel k(tree);
-            add("flann",
-                [&](KernelVariant v) { return k.run(pc.queries, v).trace; });
+            add("flann", FlannKernel(tree).emit(pc.queries).sem);
         }
         {
             const Lbvh bvh = Lbvh::buildFromPoints(pc.points, pc.radius);
             const BvhnnKernel k(pc.points, bvh, BvhnnConfig{pc.radius});
-            add("bvhnn",
-                [&](KernelVariant v) { return k.run(pc.queries, v).trace; });
+            add("bvhnn", k.emit(pc.queries).sem);
         }
         {
             auto w = golden::btreeKeys();
             const BTree tree = BTree::build(std::move(w.pairs), 256);
-            const BtreeKernel k(tree);
-            add("btree",
-                [&](KernelVariant v) { return k.run(w.probes, v).trace; });
+            add("btree", BtreeKernel(tree).emit(w.probes).sem);
         }
         {
+            // RTIndeX: the baseline is the triangle form on the stock
+            // RT unit, HSU the native-key form.
             const auto w = golden::rtindexKeys();
             const RtindexKernel k(w.keys);
-            add(
-                "rtindex",
-                [&](KernelVariant v) { return k.run(w.probes, v).trace; },
-                true);
+            out.push_back(
+                {"rtindex",
+                 lowerTrace(k.emit(w.probes, RtindexForm::Tri).sem,
+                            Lowering::baseline()),
+                 lowerTrace(k.emit(w.probes, RtindexForm::Native).sem,
+                            Lowering::hsu()),
+                 true});
         }
         return out;
     }();
