@@ -61,20 +61,21 @@ eventsByLane(const ScheduleLog &log)
     return out;
 }
 
-// --- Rule registry ---------------------------------------------------
+// --- Rule tables -----------------------------------------------------
+
+/** Context handed to schedule-log rules. */
+struct ScheduleLintContext
+{
+    const ScheduleLog &log;
+};
 
 struct ScheduleRule
 {
     LintRuleInfo info;
-    ScheduleLintFn fn;
+    /** Null for SH001/SH002, which check plain data, not the log. */
+    void (*fn)(const ScheduleLintContext &, const LintRuleInfo &,
+               LintReport &);
 };
-
-std::vector<ScheduleRule> &
-scheduleRules()
-{
-    static std::vector<ScheduleRule> rules;
-    return rules;
-}
 
 // --- SV: serve-schedule rules ----------------------------------------
 
@@ -725,83 +726,6 @@ ruleLruDiscipline(const ScheduleLintContext &ctx,
     }
 }
 
-void
-registerScheduleBuiltins()
-{
-    auto add = [](const char *id, const char *summary, const char *fixit,
-                 void (*fn)(const ScheduleLintContext &,
-                            const LintRuleInfo &, LintReport &)) {
-        scheduleRules().push_back(ScheduleRule{
-            LintRuleInfo{id, LintSeverity::Error, summary, fixit}, fn});
-    };
-
-    add("SV001",
-       "every queued request is sealed into a batch or expired, "
-       "exactly once (admitted = answered + expired + shed)",
-       "pop requests only through DynamicBatcher::popBatch and record "
-       "seal/expiry through the pipeline recorder, never around it",
-       ruleServeConservation);
-    add("SV002",
-       "batch membership is sealed before policy ordering and "
-       "conserved through dispatch (coherent reorder is timing-only)",
-       "record SealMember in FIFO pop order before orderBatch runs; "
-       "dispatch exactly the FormedBatch the pipeline sealed",
-       ruleBatchMembership);
-    add("SV003",
-       "admission/seal/dispatch/resolve cycles are monotone and "
-       "expiry respects deadlines on the unified clock",
-       "keep the event loop's now monotone and route every deadline "
-       "check through the batcher's pop-time expiry",
-       ruleScheduleMonotonicity);
-    add("SV004",
-       "shed and degrade decisions match the configured queue "
-       "watermarks",
-       "sample the queue depth once per decision (before the "
-       "push/pop) and compare against DegradePolicy only",
-       ruleWatermarkLegality);
-    add("SH003",
-       "scatter fan-out, gather/shed joins, and merge timing balance "
-       "per request",
-       "resolve every routed sub-query exactly once through "
-       "subquery_resolved and charge mergeCyclesPerShard per served "
-       "sub-answer",
-       ruleJoinAccounting);
-    add("SH004",
-       "gather never precedes scatter and every hop pays the link "
-       "latency on the unified clock",
-       "put every sub-query on the wire with deliver = send + "
-       "hopCycles(scatterBytes) and gather at lane-ready + "
-       "hopCycles(gatherBytes)",
-       ruleLinkCausality);
-    add("CH001",
-       "cache hits/misses replay exactly against a resident-set "
-       "oracle; exact-only keys bit-match the query id",
-       "drive all residency through AnswerCache::lookup/insert; never "
-       "construct hit keys outside keyFor",
-       ruleCacheReplay);
-    add("CH002",
-       "B+tree workloads never use recall-tolerant cache keys",
-       "AnswerCache must force exactOnly for Algo::Btree regardless "
-       "of the configured CacheMode",
-       ruleBtreeExactness);
-    add("CH003",
-       "evictions follow LRU order, happen only at capacity, and "
-       "occupancy never exceeds capacity",
-       "evict exactly lru_.back() when size() > capacity inside "
-       "AnswerCache::insert; never erase by key elsewhere",
-       ruleLruDiscipline);
-}
-
-void
-ensureScheduleBuiltins()
-{
-    static const bool once = []() {
-        registerScheduleBuiltins();
-        return true;
-    }();
-    (void)once;
-}
-
 // --- Fixed-function rule descriptors ---------------------------------
 
 const LintRuleInfo kSh001{
@@ -819,45 +743,82 @@ const LintRuleInfo kSh002{
     "merge through shard/merge mergeTopK only; its comparator is the "
     "total order that makes sharded answers bit-reproducible"};
 
+/** Every schedule rule, in catalog order. */
+const std::vector<ScheduleRule> &
+scheduleRules()
+{
+    static const std::vector<ScheduleRule> rules = {
+        {{"SV001", LintSeverity::Error,
+          "every queued request is sealed into a batch or expired, "
+          "exactly once (admitted = answered + expired + shed)",
+          "pop requests only through DynamicBatcher::popBatch and record "
+          "seal/expiry through the pipeline recorder, never around it"},
+         ruleServeConservation},
+        {{"SV002", LintSeverity::Error,
+          "batch membership is sealed before policy ordering and "
+          "conserved through dispatch (coherent reorder is timing-only)",
+          "record SealMember in FIFO pop order before orderBatch runs; "
+          "dispatch exactly the FormedBatch the pipeline sealed"},
+         ruleBatchMembership},
+        {{"SV003", LintSeverity::Error,
+          "admission/seal/dispatch/resolve cycles are monotone and "
+          "expiry respects deadlines on the unified clock",
+          "keep the event loop's now monotone and route every deadline "
+          "check through the batcher's pop-time expiry"},
+         ruleScheduleMonotonicity},
+        {{"SV004", LintSeverity::Error,
+          "shed and degrade decisions match the configured queue "
+          "watermarks",
+          "sample the queue depth once per decision (before the "
+          "push/pop) and compare against DegradePolicy only"},
+         ruleWatermarkLegality},
+        {kSh001, nullptr},
+        {kSh002, nullptr},
+        {{"SH003", LintSeverity::Error,
+          "scatter fan-out, gather/shed joins, and merge timing balance "
+          "per request",
+          "resolve every routed sub-query exactly once through "
+          "subquery_resolved and charge mergeCyclesPerShard per served "
+          "sub-answer"},
+         ruleJoinAccounting},
+        {{"SH004", LintSeverity::Error,
+          "gather never precedes scatter and every hop pays the link "
+          "latency on the unified clock",
+          "put every sub-query on the wire with deliver = send + "
+          "hopCycles(scatterBytes) and gather at lane-ready + "
+          "hopCycles(gatherBytes)"},
+         ruleLinkCausality},
+        {{"CH001", LintSeverity::Error,
+          "cache hits/misses replay exactly against a resident-set "
+          "oracle; exact-only keys bit-match the query id",
+          "drive all residency through AnswerCache::lookup/insert; never "
+          "construct hit keys outside keyFor"},
+         ruleCacheReplay},
+        {{"CH002", LintSeverity::Error,
+          "B+tree workloads never use recall-tolerant cache keys",
+          "AnswerCache must force exactOnly for Algo::Btree regardless "
+          "of the configured CacheMode"},
+         ruleBtreeExactness},
+        {{"CH003", LintSeverity::Error,
+          "evictions follow LRU order, happen only at capacity, and "
+          "occupancy never exceeds capacity",
+          "evict exactly lru_.back() when size() > capacity inside "
+          "AnswerCache::insert; never erase by key elsewhere"},
+         ruleLruDiscipline},
+    };
+    return rules;
+}
+
 } // namespace
 
-// --- Registry --------------------------------------------------------
-
-std::size_t
-registerScheduleLintRule(LintRuleInfo info, ScheduleLintFn fn)
-{
-    ensureScheduleBuiltins();
-    for (const ScheduleRule &r : scheduleRules()) {
-        hsu_assert(r.info.id != info.id, "duplicate schedule rule id ",
-                   info.id);
-    }
-    hsu_assert(info.id != kSh001.id && info.id != kSh002.id,
-               "duplicate schedule rule id ", info.id);
-    scheduleRules().push_back(
-        ScheduleRule{std::move(info), std::move(fn)});
-    return scheduleRules().size() - 1;
-}
+// --- Catalog ---------------------------------------------------------
 
 std::vector<LintRuleInfo>
 scheduleLintRuleCatalog()
 {
-    ensureScheduleBuiltins();
     std::vector<LintRuleInfo> out;
-    bool fixedEmitted = false;
-    for (const ScheduleRule &r : scheduleRules()) {
-        // Keep the catalog in family order: the SH fixed functions
-        // slot in before the registry's SH003.
-        if (!fixedEmitted && r.info.id == "SH003") {
-            out.push_back(kSh001);
-            out.push_back(kSh002);
-            fixedEmitted = true;
-        }
+    for (const ScheduleRule &r : scheduleRules())
         out.push_back(r.info);
-    }
-    if (!fixedEmitted) {
-        out.push_back(kSh001);
-        out.push_back(kSh002);
-    }
     return out;
 }
 
@@ -866,11 +827,12 @@ scheduleLintRuleCatalog()
 LintReport
 lintScheduleLog(const ScheduleLog &log)
 {
-    ensureScheduleBuiltins();
     LintReport report;
     const ScheduleLintContext ctx{log};
-    for (const ScheduleRule &r : scheduleRules())
-        r.fn(ctx, r.info, report);
+    for (const ScheduleRule &r : scheduleRules()) {
+        if (r.fn)
+            r.fn(ctx, r.info, report);
+    }
     return report;
 }
 

@@ -3,8 +3,8 @@
  * Schedule auditor: rule-based verification of recorded serving
  * schedules (analysis/schedule_log) plus fixed-function checks of the
  * shard partitioning and merge layers. The serving-side counterpart of
- * the trace linter (analysis/trace_lint) — same LintReport / registry
- * machinery, new rule families (the catalog lives in DESIGN.md §11):
+ * the trace linter (analysis/trace_lint) — same LintReport and fixed
+ * rule tables, new rule families (the catalog lives in DESIGN.md §11):
  *
  *  - SVxxx: serve-schedule rules over the event log (conservation of
  *    queued requests, seal-before-policy batch membership, cycle and
@@ -34,26 +34,8 @@
 namespace hsu
 {
 
-/** Context handed to schedule-log rules. */
-struct ScheduleLintContext
-{
-    const ScheduleLog &log;
-};
-
-using ScheduleLintFn =
-    std::function<void(const ScheduleLintContext &, const LintRuleInfo &,
-                       LintReport &)>;
-
-/**
- * Install an extra schedule rule next to the SV/SH/CH built-ins (see
- * registerSemLintRule: IDs must be unique across the schedule registry;
- * register at startup, not concurrently with lint runs).
- */
-std::size_t registerScheduleLintRule(LintRuleInfo info,
-                                     ScheduleLintFn fn);
-
-/** All schedule rules: SV/SH/CH built-ins (including the SH001/SH002
- *  fixed functions) plus registered extras. */
+/** Every schedule rule in catalog order: SV, then SH (including the
+ *  SH001/SH002 fixed functions), then CH. */
 std::vector<LintRuleInfo> scheduleLintRuleCatalog();
 
 /** Run every schedule-log rule over @p log. */

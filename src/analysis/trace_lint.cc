@@ -80,42 +80,33 @@ semNeedsPool(const SemOp &op)
     }
 }
 
-// --- Rule registry ---------------------------------------------------
+// --- Rule tables -----------------------------------------------------
+
+/** Context handed to semantic-trace rules. */
+struct SemLintContext
+{
+    const SemKernelTrace &sem;
+    DatapathConfig dp;
+};
+
+/** Context handed to lowered-trace rules. */
+struct LoweredLintContext
+{
+    const KernelTrace &trace;
+};
 
 struct SemRule
 {
     LintRuleInfo info;
-    SemLintFn fn;
+    void (*fn)(const SemLintContext &, const LintRuleInfo &, LintReport &);
 };
 
 struct LoweredRule
 {
     LintRuleInfo info;
-    LoweredLintFn fn;
+    void (*fn)(const LoweredLintContext &, const LintRuleInfo &,
+               LintReport &);
 };
-
-std::vector<SemRule> &
-semRules()
-{
-    static std::vector<SemRule> rules;
-    return rules;
-}
-
-std::vector<LoweredRule> &
-loweredRules()
-{
-    static std::vector<LoweredRule> rules;
-    return rules;
-}
-
-void
-assertUniqueId(const std::string &id)
-{
-    for (const SemRule &r : semRules())
-        hsu_assert(r.info.id != id, "duplicate lint rule id ", id);
-    for (const LoweredRule &r : loweredRules())
-        hsu_assert(r.info.id != id, "duplicate lint rule id ", id);
-}
 
 // --- Built-in semantic rules (IRxxx) ---------------------------------
 
@@ -563,109 +554,96 @@ ruleOriginRange(const LoweredLintContext &ctx, const LintRuleInfo &rule,
     }
 }
 
-void
-registerBuiltins()
+/** The IR rules, in catalog order. */
+const std::vector<SemRule> &
+semRules()
 {
-    auto sem = [](const char *id, LintSeverity sev, const char *summary,
-                  const char *fixit, void (*fn)(const SemLintContext &,
-                                                const LintRuleInfo &,
-                                                LintReport &)) {
-        semRules().push_back(
-            SemRule{LintRuleInfo{id, sev, summary, fixit}, fn});
+    static const std::vector<SemRule> rules = {
+        {{"IR001", LintSeverity::Error,
+          "every consumed virtual token has an earlier producer",
+          "emit the producing op before its consumer, or drop the stale "
+          "token from the consume list"},
+         ruleUnresolvedVirtToken},
+        {{"IR002", LintSeverity::Error,
+          "virtual tokens are produced exactly once and stay in range",
+          "hand out tokens through SemBuilder only (nextVirt keeps them "
+          "dense and single-assignment)"},
+         ruleVirtTokenRedefined},
+        {{"IR003", LintSeverity::Error,
+          "semantic batch ops carry a full in-bounds address-pool block",
+          "push kWarpSize lane addresses via the SemBuilder batch calls; "
+          "never hand-roll poolIndex"},
+         ruleSemAddrPool},
+        {{"IR004", LintSeverity::Error,
+          "consume lists stay inside the warp's consume pool",
+          "build consume lists through SemBuilder::setConsumes; do not "
+          "splice SemOps across warps"},
+         ruleConsumePool},
+        {{"IR005", LintSeverity::Error,
+          "DistanceBatch chunk calibration covers the point dimension",
+          "derive the shape from the lower.hh factories "
+          "(ggnnDistanceShape / flannDistanceShape / bvhnnLeafShape) "
+          "instead of hand-writing chunk counts"},
+         ruleDistanceBeats},
+        {{"IR006", LintSeverity::Error,
+          "DistanceBatch form matches its token/mask contract",
+          "warp-cooperative batches encapsulate their result (no token, "
+          "lowLanes mask); lane-parallel batches must produce a token"},
+         ruleDistanceShape},
+        {{"IR007", LintSeverity::Error,
+          "KeyCompareBatch fan-in fits one KEY_COMPARE instruction",
+          "split oversized separator scans into multiple "
+          "keyCompareScan calls (one node each)"},
+         ruleKeyCompareFanIn},
+        {{"IR008", LintSeverity::Warning,
+          "no op is emitted with an empty active mask",
+          "guard the emission on the candidate count (SemBuilder "
+          "lowLanes(0) is not a valid mask)"},
+         ruleEmptyActiveMask},
+        {{"IR009", LintSeverity::Error,
+          "BoxTestBatch baseline chunks cover exactly the CISC node",
+          "use the bvhBoxShape / bvh4BoxShape / rtindexBoxShape "
+          "factories; blChunks * 16 must equal nodeBytes"},
+         ruleBoxShape},
     };
-    auto lt = [](const char *id, LintSeverity sev, const char *summary,
-                 const char *fixit,
-                 void (*fn)(const LoweredLintContext &,
-                            const LintRuleInfo &, LintReport &)) {
-        loweredRules().push_back(
-            LoweredRule{LintRuleInfo{id, sev, summary, fixit}, fn});
-    };
-
-    sem("IR001", LintSeverity::Error,
-        "every consumed virtual token has an earlier producer",
-        "emit the producing op before its consumer, or drop the stale "
-        "token from the consume list",
-        ruleUnresolvedVirtToken);
-    sem("IR002", LintSeverity::Error,
-        "virtual tokens are produced exactly once and stay in range",
-        "hand out tokens through SemBuilder only (nextVirt keeps them "
-        "dense and single-assignment)",
-        ruleVirtTokenRedefined);
-    sem("IR003", LintSeverity::Error,
-        "semantic batch ops carry a full in-bounds address-pool block",
-        "push kWarpSize lane addresses via the SemBuilder batch calls; "
-        "never hand-roll poolIndex",
-        ruleSemAddrPool);
-    sem("IR004", LintSeverity::Error,
-        "consume lists stay inside the warp's consume pool",
-        "build consume lists through SemBuilder::setConsumes; do not "
-        "splice SemOps across warps",
-        ruleConsumePool);
-    sem("IR005", LintSeverity::Error,
-        "DistanceBatch chunk calibration covers the point dimension",
-        "derive the shape from the lower.hh factories "
-        "(ggnnDistanceShape / flannDistanceShape / bvhnnLeafShape) "
-        "instead of hand-writing chunk counts",
-        ruleDistanceBeats);
-    sem("IR006", LintSeverity::Error,
-        "DistanceBatch form matches its token/mask contract",
-        "warp-cooperative batches encapsulate their result (no token, "
-        "lowLanes mask); lane-parallel batches must produce a token",
-        ruleDistanceShape);
-    sem("IR007", LintSeverity::Error,
-        "KeyCompareBatch fan-in fits one KEY_COMPARE instruction",
-        "split oversized separator scans into multiple "
-        "keyCompareScan calls (one node each)",
-        ruleKeyCompareFanIn);
-    sem("IR008", LintSeverity::Warning,
-        "no op is emitted with an empty active mask",
-        "guard the emission on the candidate count (SemBuilder "
-        "lowLanes(0) is not a valid mask)",
-        ruleEmptyActiveMask);
-    sem("IR009", LintSeverity::Error,
-        "BoxTestBatch baseline chunks cover exactly the CISC node",
-        "use the bvhBoxShape / bvh4BoxShape / rtindexBoxShape "
-        "factories; blChunks * 16 must equal nodeBytes",
-        ruleBoxShape);
-
-    lt("LT001", LintSeverity::Error,
-       "consume masks only wait on previously produced scoreboard "
-       "tokens",
-       "lower virtual tokens through WarpLowerer::bind/consumeMask; "
-       "never guess concrete token masks",
-       ruleScoreboardTokens);
-    lt("LT002", LintSeverity::Error,
-       "lowered ops are shape-valid (counts, bytes, token range)",
-       "emit through TraceBuilder, which clamps and validates these "
-       "fields",
-       ruleLoweredOpShape);
-    lt("LT003", LintSeverity::Error,
-       "pool-addressed ops stay inside the warp's address pool and "
-       "HSU ops carry node addresses",
-       "let TraceBuilder::loadGather/hsuOp manage the pool; never "
-       "reuse pool indices across warps",
-       ruleLoweredAddrPool);
-    lt("LT004", LintSeverity::Error,
-       "every HSU op carries the provenance stamp of its semantic "
-       "family",
-       "WarpLowerer::stamp must run after each semantic expansion; "
-       "new lowerings must stamp before returning",
-       ruleOriginStamp);
-    lt("LT005", LintSeverity::Error,
-       "origin bytes decode to a TraceOrigin value",
-       "stamp origins with the TraceOrigin enum; never memset or "
-       "cast raw bytes into TraceOp",
-       ruleOriginRange);
+    return rules;
 }
 
-void
-ensureBuiltins()
+/** The LT rules, in catalog order. */
+const std::vector<LoweredRule> &
+loweredRules()
 {
-    static const bool once = []() {
-        registerBuiltins();
-        return true;
-    }();
-    (void)once;
+    static const std::vector<LoweredRule> rules = {
+        {{"LT001", LintSeverity::Error,
+          "consume masks only wait on previously produced scoreboard "
+          "tokens",
+          "lower virtual tokens through WarpLowerer::bind/consumeMask; "
+          "never guess concrete token masks"},
+         ruleScoreboardTokens},
+        {{"LT002", LintSeverity::Error,
+          "lowered ops are shape-valid (counts, bytes, token range)",
+          "emit through TraceBuilder, which clamps and validates these "
+          "fields"},
+         ruleLoweredOpShape},
+        {{"LT003", LintSeverity::Error,
+          "pool-addressed ops stay inside the warp's address pool and "
+          "HSU ops carry node addresses",
+          "let TraceBuilder::loadGather/hsuOp manage the pool; never "
+          "reuse pool indices across warps"},
+         ruleLoweredAddrPool},
+        {{"LT004", LintSeverity::Error,
+          "every HSU op carries the provenance stamp of its semantic "
+          "family",
+          "WarpLowerer::stamp must run after each semantic expansion; "
+          "new lowerings must stamp before returning"},
+         ruleOriginStamp},
+        {{"LT005", LintSeverity::Error,
+          "origin bytes decode to a TraceOrigin value",
+          "stamp origins with the TraceOrigin enum; never memset or "
+          "cast raw bytes into TraceOp"},
+         ruleOriginRange},
+    };
+    return rules;
 }
 
 // --- Cross-lowering rule descriptors (fixed functions) ---------------
@@ -767,31 +745,11 @@ LintReport::str() const
     return os.str();
 }
 
-// --- Registry --------------------------------------------------------
-
-std::size_t
-registerSemLintRule(LintRuleInfo info, SemLintFn fn)
-{
-    ensureBuiltins();
-    assertUniqueId(info.id);
-    semRules().push_back(SemRule{std::move(info), std::move(fn)});
-    return semRules().size() - 1;
-}
-
-std::size_t
-registerLoweredLintRule(LintRuleInfo info, LoweredLintFn fn)
-{
-    ensureBuiltins();
-    assertUniqueId(info.id);
-    loweredRules().push_back(
-        LoweredRule{std::move(info), std::move(fn)});
-    return loweredRules().size() - 1;
-}
+// --- Catalog ---------------------------------------------------------
 
 std::vector<LintRuleInfo>
 lintRuleCatalog()
 {
-    ensureBuiltins();
     std::vector<LintRuleInfo> out;
     for (const SemRule &r : semRules())
         out.push_back(r.info);
@@ -808,7 +766,6 @@ lintRuleCatalog()
 LintReport
 lintSemTrace(const SemKernelTrace &sem, const DatapathConfig &dp)
 {
-    ensureBuiltins();
     LintReport report;
     const SemLintContext ctx{sem, dp};
     for (const SemRule &r : semRules())
@@ -819,7 +776,6 @@ lintSemTrace(const SemKernelTrace &sem, const DatapathConfig &dp)
 LintReport
 lintLoweredTrace(const KernelTrace &trace)
 {
-    ensureBuiltins();
     LintReport report;
     const LoweredLintContext ctx{trace};
     for (const LoweredRule &r : loweredRules())

@@ -16,18 +16,16 @@
  *    equivalence, ByKind mask balance).
  *
  * Every rule has a stable ID, a severity, and a fix-it hint. IR and LT
- * rules run through a registry so kernels can install extra rules next
- * to the built-ins; XL rules are fixed functions of (sem, lowered,
- * lowering). Linting never mutates its inputs and allocates only the
- * report, so the debug-build emission hook (lintSemTraceOrDie) is safe
- * to run on every kernel emission.
+ * rules run from fixed tables in catalog order; XL rules are fixed
+ * functions of (sem, lowered, lowering). Linting never mutates its
+ * inputs and allocates only the report, so the debug-build emission
+ * hook (lintSemTraceOrDie) is safe to run on every kernel emission.
  */
 
 #ifndef HSU_ANALYSIS_TRACE_LINT_HH
 #define HSU_ANALYSIS_TRACE_LINT_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -118,38 +116,7 @@ class LintReport
     std::size_t suppressed_ = 0;
 };
 
-/** Context handed to semantic-trace rules. */
-struct SemLintContext
-{
-    const SemKernelTrace &sem;
-    DatapathConfig dp;
-};
-
-/** Context handed to lowered-trace rules. */
-struct LoweredLintContext
-{
-    const KernelTrace &trace;
-};
-
-using SemLintFn =
-    std::function<void(const SemLintContext &, const LintRuleInfo &,
-                       LintReport &)>;
-using LoweredLintFn =
-    std::function<void(const LoweredLintContext &, const LintRuleInfo &,
-                       LintReport &)>;
-
-/**
- * Install an extra semantic-trace rule. Registered rules run after the
- * built-ins on every lintSemTrace call. The ID must be unique; returns
- * the rule's registry slot. Not thread-safe against concurrent lint
- * runs — register at startup.
- */
-std::size_t registerSemLintRule(LintRuleInfo info, SemLintFn fn);
-
-/** Install an extra lowered-trace rule (see registerSemLintRule). */
-std::size_t registerLoweredLintRule(LintRuleInfo info, LoweredLintFn fn);
-
-/** All known rules: built-ins (IR/LT/XL) plus registered extras. */
+/** Every rule in catalog order: IR, then LT, then XL. */
 std::vector<LintRuleInfo> lintRuleCatalog();
 
 /** Run every semantic-trace rule. */

@@ -388,7 +388,7 @@ TEST(ScheduleLint, OverlongMergeIsSh002)
                "SH002");
 }
 
-// --- Registry / catalog ----------------------------------------------
+// --- Catalog ---------------------------------------------------------
 
 TEST(ScheduleLint, CatalogCoversAllRuleFamilies)
 {
@@ -407,35 +407,6 @@ TEST(ScheduleLint, CatalogCoversAllRuleFamilies)
         EXPECT_FALSE(rule.summary.empty()) << rule.id;
         EXPECT_FALSE(rule.fixit.empty()) << rule.id;
     }
-}
-
-TEST(ScheduleLint, RegisteredRuleRunsAndEntersCatalog)
-{
-    LintRuleInfo info;
-    info.id = "SVT99";
-    info.severity = LintSeverity::Warning;
-    info.summary = "test rule: flags every Admit event";
-    info.fixit = "test only";
-    registerScheduleLintRule(
-        info, [](const ScheduleLintContext &ctx,
-                 const LintRuleInfo &rule, LintReport &report) {
-            for (std::size_t i = 0; i < ctx.log.events.size(); ++i) {
-                if (ctx.log.events[i].kind == K::Admit) {
-                    report.add(rule, ctx.log.events[i].lane, i,
-                               "admit seen");
-                }
-            }
-        });
-
-    const std::vector<LintRuleInfo> catalog =
-        scheduleLintRuleCatalog();
-    EXPECT_TRUE(std::any_of(
-        catalog.begin(), catalog.end(),
-        [](const LintRuleInfo &r) { return r.id == "SVT99"; }));
-
-    const LintReport report = lintScheduleLog(validServeLog());
-    EXPECT_EQ(report.countRule("SVT99"), 4u) << report.str();
-    EXPECT_EQ(report.errorCount(), 0u) << report.str();
 }
 
 } // namespace

@@ -300,31 +300,7 @@ TEST(TraceLint, EndpointEquivalenceHolds)
     EXPECT_TRUE(report.clean()) << report.str();
 }
 
-// --- Registry extensibility ------------------------------------------
-
-TEST(TraceLint, RegisteredRuleRunsAndEntersCatalog)
-{
-    static bool registered = false;
-    if (!registered) {
-        registered = true;
-        registerSemLintRule(
-            LintRuleInfo{"XT900", LintSeverity::Error,
-                         "test rule: no warp holds 10^9 ops",
-                         "split the emission"},
-            [](const SemLintContext &ctx, const LintRuleInfo &rule,
-               LintReport &report) {
-                for (std::size_t w = 0; w < ctx.sem.warps.size(); ++w) {
-                    if (ctx.sem.warps[w].ops.size() >= 1000000000ull)
-                        report.add(rule, w, 0, "implausible warp");
-                }
-            });
-    }
-    bool in_catalog = false;
-    for (const LintRuleInfo &rule : lintRuleCatalog())
-        in_catalog |= rule.id == "XT900";
-    EXPECT_TRUE(in_catalog);
-    EXPECT_TRUE(lintSemTrace(validSem()).clean());
-}
+// --- Catalog ---------------------------------------------------------
 
 TEST(TraceLint, CatalogCoversDocumentedRules)
 {
