@@ -284,24 +284,29 @@ BTree::height() const
 bool
 BTree::validate() const
 {
-    if (root_ < 0)
-        return false;
-
     struct Item
     {
         std::int32_t node;
         unsigned depth;
     };
     std::vector<Item> stack{{root_, 1}};
+    std::vector<bool> reached(nodes_.size(), false);
     int leaf_depth = -1;
     std::uint32_t last_leaf_key = 0;
     bool have_last = false;
 
     // Depth-first, children in order, so leaf keys stream in sorted
-    // order if the tree is correct.
+    // order if the tree is correct. Every node is reached at most once
+    // (no cycles, no shared subtrees), through in-range indices only.
     while (!stack.empty()) {
         const Item item = stack.back();
         stack.pop_back();
+        if (item.node < 0 ||
+            static_cast<std::size_t>(item.node) >= nodes_.size() ||
+            reached[static_cast<std::size_t>(item.node)]) {
+            return false;
+        }
+        reached[static_cast<std::size_t>(item.node)] = true;
         const BTreeNode &node =
             nodes_[static_cast<std::size_t>(item.node)];
 

@@ -186,19 +186,30 @@ Lbvh::validate() const
     if (nodes_.empty())
         return numLeaves_ == 0;
 
+    // Every node is reached exactly once (no cycles, no shared
+    // subtrees), through in-range root and child indices only.
+    const auto in_range = [this](std::int32_t idx) {
+        return idx >= 0 && static_cast<std::size_t>(idx) < nodes_.size();
+    };
+    if (!in_range(root_))
+        return false;
     std::vector<std::uint32_t> seen;
+    std::vector<bool> reached(nodes_.size(), false);
     std::vector<std::int32_t> stack{root_};
     std::size_t visited = 0;
     while (!stack.empty()) {
         const std::int32_t idx = stack.back();
         stack.pop_back();
+        if (reached[static_cast<std::size_t>(idx)])
+            return false;
+        reached[static_cast<std::size_t>(idx)] = true;
         ++visited;
         const LbvhNode &node = nodes_[static_cast<std::size_t>(idx)];
         if (node.isLeaf()) {
             seen.push_back(static_cast<std::uint32_t>(node.primitive));
             continue;
         }
-        if (node.left < 0 || node.right < 0)
+        if (!in_range(node.left) || !in_range(node.right))
             return false;
         for (const std::int32_t c : {node.left, node.right}) {
             const LbvhNode &child = nodes_[static_cast<std::size_t>(c)];

@@ -305,6 +305,94 @@ TEST(Serialize, KdTreeRejectsOutOfRangeChildrenAndLeafRanges)
     }
 }
 
+// An LBVH blob's root and child indices index the loaded node array:
+// each must be in range, and no node may be reached twice, or the
+// validation walk itself reads out of bounds or never ends.
+TEST(Serialize, LbvhRejectsOutOfRangeAndCyclicNodes)
+{
+    const PointSet pts = test::randomCloud(100, 3, 93);
+    const Lbvh bvh = Lbvh::buildFromPoints(pts, 0.1f);
+    const std::int32_t root = bvh.root();
+    ASSERT_FALSE(bvh.nodes()[static_cast<std::size_t>(root)].isLeaf());
+    const auto loads = [&](std::int32_t r,
+                           const std::vector<LbvhNode> &nodes) {
+        std::string b;
+        put<std::uint32_t>(b, 0x48535531); // "HSU1"
+        put<std::uint32_t>(b, 1);          // LBVH blob
+        put(b, static_cast<std::uint32_t>(r));
+        put<std::uint64_t>(b, bvh.numLeaves());
+        put<std::uint64_t>(b, nodes.size());
+        for (const LbvhNode &node : nodes)
+            put(b, node);
+        std::stringstream in(b);
+        return loadLbvh(in).has_value();
+    };
+    ASSERT_TRUE(loads(root, bvh.nodes()));
+
+    for (const std::int32_t r : {100000, -2})
+        EXPECT_FALSE(loads(r, bvh.nodes())) << "root " << r;
+    for (const std::int32_t child : {100000, -2}) {
+        std::vector<LbvhNode> nodes = bvh.nodes();
+        nodes[static_cast<std::size_t>(root)].right = child;
+        EXPECT_FALSE(loads(root, nodes)) << "right child " << child;
+    }
+    // A cycle through the root that every parent link and box agrees
+    // with: the root's left child names the root as its own left child.
+    std::vector<LbvhNode> cyclic = bvh.nodes();
+    LbvhNode &top = cyclic[static_cast<std::size_t>(root)];
+    LbvhNode &left = cyclic[static_cast<std::size_t>(top.left)];
+    ASSERT_FALSE(left.isLeaf());
+    top.parent = top.left;
+    left.left = root;
+    left.bounds = top.bounds;
+    EXPECT_FALSE(loads(root, cyclic)) << "cycle through the root";
+}
+
+// The same for a B+tree blob's root and child indices.
+TEST(Serialize, BTreeRejectsOutOfRangeAndCyclicChildren)
+{
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+    for (std::uint32_t i = 0; i < 1000; ++i)
+        pairs.emplace_back(i * 7, i);
+    const BTree tree = BTree::build(pairs, 8);
+    const std::int32_t root = tree.root();
+    ASSERT_FALSE(tree.nodes()[static_cast<std::size_t>(root)].leaf);
+    const auto loads = [&](std::int32_t r,
+                           const std::vector<BTreeNode> &nodes) {
+        std::string b;
+        put<std::uint32_t>(b, 0x48535531); // "HSU1"
+        put<std::uint32_t>(b, 4);          // B+tree blob
+        put(b, static_cast<std::uint32_t>(r));
+        put<std::uint32_t>(b, tree.order());
+        put<std::uint64_t>(b, nodes.size());
+        for (const BTreeNode &node : nodes) {
+            put<std::uint32_t>(b, node.leaf ? 1 : 0);
+            put<std::uint64_t>(b, node.keys.size());
+            for (const std::uint32_t k : node.keys)
+                put(b, k);
+            put<std::uint64_t>(b, node.children.size());
+            for (const std::int32_t c : node.children)
+                put(b, c);
+            put<std::uint64_t>(b, node.values.size());
+            for (const std::uint32_t v : node.values)
+                put(b, v);
+        }
+        std::stringstream in(b);
+        return loadBTree(in).has_value();
+    };
+    ASSERT_TRUE(loads(root, tree.nodes()));
+
+    EXPECT_FALSE(loads(100000, tree.nodes())) << "root out of range";
+    for (const std::int32_t child : {100000, -2}) {
+        std::vector<BTreeNode> nodes = tree.nodes();
+        nodes[static_cast<std::size_t>(root)].children.back() = child;
+        EXPECT_FALSE(loads(root, nodes)) << "last child " << child;
+    }
+    std::vector<BTreeNode> cyclic = tree.nodes();
+    cyclic[static_cast<std::size_t>(root)].children.front() = root;
+    EXPECT_FALSE(loads(root, cyclic)) << "root is its own first child";
+}
+
 TEST(Serialize, TruncatedStreamRejected)
 {
     const PointSet pts = test::randomCloud(100, 3, 90);
