@@ -19,7 +19,8 @@ main()
     t.addRow({"Warp Scheduler Policy", "GTO",
               cfg.scheduler == SchedulerPolicy::Gto ? "GTO" : "RR"});
     t.addRow({"Max Warps / SM", "64", std::to_string(cfg.maxWarpsPerSm)});
-    t.addRow({"RT Units / SM", "1", std::to_string(cfg.rtUnitsPerSm)});
+    // The model builds exactly one RT unit per SM (sim/sm.cc).
+    t.addRow({"RT Units / SM", "1", "1"});
     t.addRow({"Warp Buffer Size", "8",
               std::to_string(cfg.warpBufferSize)});
     t.addRow({"L1 / Shared Memory Cache", "128 KB",

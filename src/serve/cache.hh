@@ -63,8 +63,6 @@ struct AnswerCacheConfig
     /** Tolerant: Morton bits dropped per key = 3 x this (one octree
      *  refinement level each). */
     unsigned toleranceLevels = 6;
-    /** Also fill the cache from degraded (reduced-quality) answers. */
-    bool cacheDegraded = false;
 
     bool
     enabled() const

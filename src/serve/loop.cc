@@ -600,8 +600,8 @@ void
 ServeLoop::finalize(std::uint64_t id, const Join &join)
 {
     // The merge is charged per answering shard; a request whose every
-    // sub-query was shed never produced an answer. Full answers fill
-    // the router cache (degraded ones only when configured).
+    // sub-query was shed never produced an answer. Only full,
+    // undegraded answers fill the router cache.
     if (join.served == 0) {
         report_.shedRequests += 1;
         routerRec_.record(0, ScheduleEventKind::JoinDone, id, join.served,
@@ -613,8 +613,7 @@ ServeLoop::finalize(std::uint64_t id, const Join &join)
         cfg_.mergeCyclesPerShard * static_cast<Cycle>(join.served);
     if (join.shed > 0) {
         report_.partialAnswers += 1;
-    } else if (!join.degraded ||
-               cfg_.lanes.pipeline.cache.cacheDegraded) {
+    } else if (!join.degraded) {
         cache_.insert(join.queryId, done);
     }
     routerRec_.record(done, ScheduleEventKind::JoinDone, id, join.served,

@@ -27,8 +27,8 @@
  * B+tree key outside the dataset's key range) is answered at the
  * cluster's router, while the Server queues and runs it.
  *
- * Fully answered requests fill the cache (degraded ones only with
- * cache.cacheDegraded); lanes keep no cache of their own.
+ * Only full, undegraded answers fill the cache; lanes keep no cache
+ * of their own.
  *
  * Determinism: arrivals are processed in stream order, scatter
  * messages in send order, lanes and their executors in index order;

@@ -41,13 +41,10 @@ struct GpuConfig
     unsigned subCoresPerSm = 4;
     SchedulerPolicy scheduler = SchedulerPolicy::Gto;
     unsigned maxWarpsPerSm = 64;
-    unsigned rtUnitsPerSm = 1;
     unsigned warpBufferSize = 8;  //!< RT unit warp buffer entries
     bool rtFetchMerging = true;   //!< CISC fetch line merging (ablation)
 
     // --- SM pipeline timing ---------------------------------------
-    unsigned aluLatency = 4;      //!< dependent-use latency of ALU ops
-    unsigned sharedLatency = 24;  //!< shared-memory dependent-use latency
     unsigned lsuQueueSize = 32;   //!< pending line-accesses in the LSU
 
     // --- RT / HSU unit --------------------------------------------
