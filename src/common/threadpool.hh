@@ -1,8 +1,9 @@
 /**
  * @file
  * Fixed-size worker pool for fanning independent simulations across
- * cores, and parallelMap(), the one fan-out every simulation fleet
- * goes through.
+ * cores, parallelMap(), the one fan-out every simulation fleet goes
+ * through, and HelperTeam, which lends a long task (the HNSW build)
+ * the workers the rest of the process leaves idle.
  *
  * Design notes:
  *  - std::jthread workers woken through a condition_variable_any keyed
@@ -19,7 +20,9 @@
 #ifndef HSU_COMMON_THREADPOOL_HH
 #define HSU_COMMON_THREADPOOL_HH
 
+#include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -35,9 +38,19 @@ namespace hsu
 /**
  * Number of simulation jobs to run concurrently: the HSU_JOBS
  * environment variable when set to a positive integer, otherwise
- * std::thread::hardware_concurrency() (at least 1).
+ * std::thread::hardware_concurrency() (at least 1). It is also the
+ * process's thread budget: a HelperTeam claims helpers only while
+ * runningThreads() is below it.
  */
 unsigned defaultJobs();
+
+/**
+ * Threads running work now, process-wide: pool workers inside a task,
+ * plus every thread a HelperTeam counts (its owner, unless the owner is
+ * such a worker, and the helpers it holds). Idle pool workers and
+ * threads blocked on a pool's futures are not counted.
+ */
+unsigned runningThreads();
 
 /** Bounded-queue fixed-size thread pool. */
 class ThreadPool
@@ -120,6 +133,104 @@ parallelMap(std::size_t n, Fn fn, unsigned num_threads = 0)
         results.push_back(f.get());
     return results;
 }
+
+/**
+ * The owning thread plus helper threads claimed from the thread budget,
+ * running phases of work together.
+ *
+ * claim() holds at most maxHelpers() helpers, and never more than
+ * defaultJobs() minus the running threads other than this team's own
+ * helpers; what the team may no longer hold it gives back. An owner
+ * that re-claims before each phase therefore takes pool workers as they
+ * go idle and returns them as soon as workers become busy again, and
+ * teams that start together on a busy pool hold none. A team holding no
+ * helper runs every phase on its owner alone and starts no thread.
+ *
+ * Helper threads start when a phase first needs them and are joined by
+ * the destructor. Each helper has its own wake-up word: run() posts the
+ * phase to the helpers it holds, and a helper it does not hold is never
+ * woken. A waiting thread (a helper between phases, or the owner
+ * waiting for the helpers to finish) spins for a few tens of
+ * microseconds, then blocks on a condition variable; the poster stores
+ * the word under that variable's mutex, so no wake-up is lost.
+ *
+ * Only the owner may call claim() and run().
+ */
+class HelperTeam
+{
+  public:
+    /** Counts the owner as running unless it is a pool worker inside a
+     *  task (which is counted already); claims no helper. */
+    HelperTeam();
+
+    /** Stops and joins every helper and returns the claim. */
+    ~HelperTeam();
+
+    HelperTeam(const HelperTeam &) = delete;
+    HelperTeam &operator=(const HelperTeam &) = delete;
+
+    /**
+     * Hold min(@p want, maxHelpers(), free) helpers, where free is
+     * defaultJobs() (read when the team was made) minus the running
+     * threads that are not this team's helpers. Starts no thread.
+     * @return the number held
+     */
+    unsigned claim(unsigned want);
+
+    /** Helpers held: run() runs its phase on held() + 1 threads. */
+    unsigned held() const { return held_; }
+
+    /** min(defaultJobs(), hardware_concurrency()) - 1, both read when
+     *  the team was made: the most helpers it may hold. */
+    unsigned maxHelpers() const { return limit_; }
+
+    /**
+     * Call @p fn(t) for every t <= held(): t = 0 on the owner, t > 0 on
+     * helper t - 1; return once every call has returned. Everything
+     * the owner wrote before run() is visible to every call, and
+     * everything a call wrote is visible to the owner after it. An
+     * exception from the owner's call is rethrown once every helper's
+     * call has returned; one from a helper's call terminates the
+     * process.
+     */
+    template <typename Fn>
+    void
+    run(Fn &&fn)
+    {
+        runPhase(&fn, [](void *f, unsigned t) {
+            (*static_cast<std::remove_reference_t<Fn> *>(f))(t);
+        });
+    }
+
+  private:
+    /** One helper thread and its wake-up word. */
+    struct Helper
+    {
+        std::mutex mutex;
+        std::condition_variable wake;
+        /** The last phase posted to this helper (kStop: exit). */
+        std::atomic<std::uint64_t> phase{0};
+        std::thread thread;
+    };
+
+    void runPhase(void *fn, void (*call)(void *, unsigned));
+    void helperLoop(Helper &h, unsigned t);
+
+    unsigned jobs_;
+    unsigned limit_;
+    bool countsOwner_;
+    unsigned held_ = 0;
+    std::vector<std::unique_ptr<Helper>> helpers_; //!< started so far
+    std::uint64_t phase_ = 0; //!< phases posted so far
+    // The posted phase's work; written by the owner only while no
+    // helper is inside a phase.
+    void *fn_ = nullptr;
+    void (*call_)(void *, unsigned) = nullptr;
+    /** Helpers still inside the posted phase. */
+    std::atomic<unsigned> pending_{0};
+    std::mutex doneMutex_;
+    std::condition_variable done_;
+};
 
 } // namespace hsu
 

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/threadpool.hh"
 
 namespace hsu
 {
@@ -292,11 +294,22 @@ metricDistBatch(Metric metric, const float *query, float query_norm,
 struct HnswGraph::SearchScratch
 {
     /** With @p record, searchLayer keeps each visited node's distance
-     *  to the query (build reads them back; a knn call does not). */
+     *  to the query, and every search lists the rows it expands (build
+     *  reads both back; a knn call does neither). */
     SearchScratch(std::size_t n, unsigned max_degree, bool record = false)
         : stamp(n, 0), seen(record ? n : 0), ids(max_degree),
           dist(max_degree)
     {
+    }
+
+    /** Note that this search read @p node's row at @p layer. */
+    void
+    expand(unsigned layer, std::uint32_t node)
+    {
+        if (!seen.empty())
+            expanded.push_back(static_cast<std::size_t>(layer) *
+                                   stamp.size() +
+                               node);
     }
 
     /** Start a search: forget every visited mark in O(1). */
@@ -345,6 +358,9 @@ struct HnswGraph::SearchScratch
     std::vector<std::uint32_t> ids; //!< one row's unvisited neighbors
     std::vector<float> dist;        //!< ...and their distances
     std::vector<Neighbor> found;    //!< searchLayer's result
+    /** Rows expanded since the owner last cleared this, each as
+     *  layer * n + node (recording scratch only). */
+    std::vector<std::size_t> expanded;
 };
 
 HnswGraph
@@ -362,7 +378,9 @@ HnswGraph::build(const PointSet &points, Metric metric,
         return g;
     }
 
-    // Geometric level assignment (HNSW): P(level >= l) = (1/degree)^l.
+    // Geometric level assignment (HNSW): P(level >= l) = (1/degree)^l,
+    // capped at kMaxLevel against pathological draws.
+    constexpr unsigned kMaxLevel = 6;
     Rng rng(params.seed);
     const double ml = 1.0 / std::log(static_cast<double>(
         std::max(2u, params.degree)));
@@ -371,7 +389,7 @@ HnswGraph::build(const PointSet &points, Metric metric,
     for (std::size_t i = 0; i < n; ++i) {
         const double u = std::max(rng.nextDouble(), 1e-12);
         level[i] = static_cast<unsigned>(-std::log(u) * ml);
-        level[i] = std::min(level[i], 6u); // cap pathological draws
+        level[i] = std::min(level[i], kMaxLevel);
         max_level = std::max(max_level, level[i]);
     }
     // Make node 0 the top entry point.
@@ -454,25 +472,43 @@ HnswGraph::build(const PointSet &points, Metric metric,
     const unsigned max_deg = std::max(params.degree, params.degreeLayer0);
     hsu_assert(max_deg <= RowPairs::kMaxDegree, "HNSW degree ", max_deg,
                " above ", RowPairs::kMaxDegree);
-    SearchScratch scratch(n, max_deg, true);
-    // Overflow scratch, reused by every connect() call.
-    std::vector<Cand> occupants(max_deg);
-    std::vector<Cand> cands(max_deg + 1);
-    std::vector<unsigned> sel(max_deg); //!< chosen cands, in order
-    std::vector<char> chosen(max_deg + 1);
-    std::vector<float> new_pair(max_deg); //!< newcomer's pairs by slot
-    std::vector<float *> miss_cell(max_deg); //!< uncached pairs...
-    std::vector<std::uint32_t> miss_node(max_deg);
-    std::vector<float> miss_d(max_deg); //!< ...and their distances
+    // Overflow scratch of one thread, reused by each connect() it runs.
+    struct ConnectScratch
+    {
+        explicit ConnectScratch(unsigned deg)
+            : occupants(deg), cands(deg + 1), sel(deg), chosen(deg + 1),
+              new_pair(deg), miss_cell(deg), miss_node(deg), miss_d(deg)
+        {
+        }
+        std::vector<Cand> occupants;
+        std::vector<Cand> cands;
+        std::vector<unsigned> sel; //!< chosen cands, in order
+        std::vector<char> chosen;
+        std::vector<float> new_pair; //!< newcomer's pairs by slot
+        std::vector<float *> miss_cell; //!< uncached pairs...
+        std::vector<std::uint32_t> miss_node;
+        std::vector<float> miss_d; //!< ...and their distances
+    };
 
-    // Add the backward edge from -> to, where @p to is the node being
-    // inserted (so in no row yet), whose layer-@p l search is the last
-    // one in scratch, and @p dft = dist(from, to). On overflow the row
-    // is re-selected with the HNSW diversity heuristic over {existing +
+    // Add the backward edge from -> to, where @p to is a node being
+    // inserted (so not yet in from's row), @p dft = dist(from, to) and
+    // @p record is to's search record. On overflow the row is
+    // re-selected with the HNSW diversity heuristic over {existing +
     // new}, which preserves the long-range edges plain replace-farthest
-    // would erode as the graph densifies.
-    auto connect = [&](unsigned l, std::uint32_t from, std::uint32_t to,
-                       float dft) {
+    // would erode as the graph densifies. Reads only from's row, its
+    // sidecar block, the points and @p record; writes only from's row
+    // and block.
+    auto connect = [&](ConnectScratch &cs, unsigned l, std::uint32_t from,
+                       std::uint32_t to, float dft,
+                       const SearchScratch &record) {
+        std::vector<Cand> &occupants = cs.occupants;
+        std::vector<Cand> &cands = cs.cands;
+        std::vector<unsigned> &sel = cs.sel;
+        std::vector<char> &chosen = cs.chosen;
+        std::vector<float> &new_pair = cs.new_pair;
+        std::vector<float *> &miss_cell = cs.miss_cell;
+        std::vector<std::uint32_t> &miss_node = cs.miss_node;
+        std::vector<float> &miss_d = cs.miss_d;
         std::uint32_t *r = row(l, from);
         const unsigned deg = g.layerDegree(l);
         float *rd = rowDist(l, from);
@@ -522,9 +558,11 @@ HnswGraph::build(const PointSet &points, Metric metric,
             c[p] = in;
         }
         // The newcomer's pairs, by the occupant's slot: those with the
-        // occupants its layer search visited are already known.
+        // occupants its last search visited are already known. That
+        // search is at layer 0 whatever @p l is, and dist(to, x) is the
+        // same float at every layer: the record is a pure cache.
         for (unsigned j = 0; j < deg; ++j)
-            new_pair[pairs.phys(j)] = scratch.recorded(r[j]);
+            new_pair[pairs.phys(j)] = record.recorded(r[j]);
         // The cache cell of pair (x, o); the newcomer's pairs are in
         // new_pair, by the occupant's slot.
         auto cell = [&](const Cand &x, const Cand &o) -> float & {
@@ -627,28 +665,51 @@ HnswGraph::build(const PointSet &points, Metric metric,
         }
     };
 
-    // Incremental insertion.
-    std::vector<std::uint32_t> selected(max_deg);
-    std::vector<float> selected_d(max_deg); //!< dist(node, selected[j])
-    // Per candidate of the layer search's result: how many selected
-    // candidates the diversity check compared it with, and those
-    // distances (max_deg per candidate).
-    std::vector<unsigned> checked;
-    std::vector<float> checked_d;
-    for (std::size_t i = 1; i < n; ++i) {
-        const auto node = static_cast<std::uint32_t>(i);
+    // Everything one insertion decides, searched against the graph as
+    // it stood: per layer, the node's neighbour selection, their
+    // distances and its new row's sidecar block. Kept until the node's
+    // backward edges are applied, which read its search record.
+    constexpr unsigned kLevels = kMaxLevel + 1;
+    struct Insertion
+    {
+        Insertion(std::size_t nodes, unsigned deg)
+            : search(nodes, deg, true), selected(kLevels * deg),
+              selected_d(kLevels * deg)
+        {
+        }
+        std::uint32_t node = 0;
+        /** Its searches: every row they expanded and, from the last
+         *  (layer 0), its distance to each node that search visited. */
+        SearchScratch search;
+        unsigned nsel[kLevels] = {};
+        std::vector<std::uint32_t> selected; //!< layer l's at l * max_deg
+        std::vector<float> selected_d;       //!< dist(node, selected[j])
+        std::unique_ptr<float[]> pairs[kLevels]; //!< new rows' blocks
+        // Per candidate of the layer search's result: how many selected
+        // candidates the diversity check compared it with, and those
+        // distances (max_deg per candidate).
+        std::vector<unsigned> checked;
+        std::vector<float> checked_d;
+    };
+
+    // An insertion's search phase: its greedy descent, then at each
+    // layer from its level down to 0 the layer search and the
+    // neighbour selection, with the HNSW diversity heuristic (keep a
+    // candidate only if it is closer to the new node than to any
+    // already-selected neighbor) — without it, clustered data yields
+    // short-range-only graphs with poor recall. Reads the graph and
+    // writes only @p x, so insertions can search concurrently.
+    auto search = [&](Insertion &x) {
+        const std::uint32_t node = x.node;
         const float *q = points[node];
         const float qn = normOf(node);
+        SearchScratch &scratch = x.search;
+        scratch.expanded.clear();
         std::uint32_t cur = g.entry_;
         // Greedy descent through layers above the node's level.
-        for (unsigned l = max_level; l > level[i]; --l)
+        for (unsigned l = max_level; l > level[node]; --l)
             cur = g.greedyStep(l, cur, q, qn, scratch);
-        // Connect at each layer from level[i] down to 0, picking
-        // neighbors with the HNSW diversity heuristic (keep a
-        // candidate only if it is closer to the new node than to any
-        // already-selected neighbor) — without it, clustered data
-        // yields short-range-only graphs with poor recall.
-        for (int l = static_cast<int>(level[i]); l >= 0; --l) {
+        for (int l = static_cast<int>(level[node]); l >= 0; --l) {
             const auto ul = static_cast<unsigned>(l);
             g.searchLayer(ul, cur, q, qn, params.efConstruction, scratch);
             const std::vector<Neighbor> &found = scratch.found;
@@ -656,14 +717,16 @@ HnswGraph::build(const PointSet &points, Metric metric,
             // The new row is empty: no row holds the node yet. It takes
             // its selection in order, selected[s] at physical slot s,
             // and keeps the pairs the selection evaluates among them.
-            row_pairs[ul][node] = RowPairs::make(target);
-            RowPairs pairs(row_pairs[ul][node].get(), target);
-            checked.assign(found.size(), 0);
-            checked_d.resize(found.size() * max_deg);
+            x.pairs[ul] = RowPairs::make(target);
+            RowPairs pairs(x.pairs[ul].get(), target);
+            std::uint32_t *selected = x.selected.data() + ul * max_deg;
+            float *selected_d = x.selected_d.data() + ul * max_deg;
+            x.checked.assign(found.size(), 0);
+            x.checked_d.resize(found.size() * max_deg);
             unsigned nsel = 0;
             auto take = [&](std::size_t p) {
-                const float *cd = checked_d.data() + p * max_deg;
-                for (unsigned s = 0; s < checked[p]; ++s)
+                const float *cd = x.checked_d.data() + p * max_deg;
+                for (unsigned s = 0; s < x.checked[p]; ++s)
                     pairs.dist(nsel, s) = cd[s];
                 selected[nsel] = found[p].index;
                 selected_d[nsel] = found[p].dist2;
@@ -674,9 +737,9 @@ HnswGraph::build(const PointSet &points, Metric metric,
                 const Neighbor &c = found[p];
                 if (c.index == node)
                     continue;
-                float *cd = checked_d.data() + p * max_deg;
-                distsFrom(c.index, selected.data(), nsel, cd);
-                checked[p] = nsel;
+                float *cd = x.checked_d.data() + p * max_deg;
+                distsFrom(c.index, selected, nsel, cd);
+                x.checked[p] = nsel;
                 if (std::none_of(cd, cd + nsel,
                                  [&c](float d) { return d < c.dist2; }))
                     take(p);
@@ -686,29 +749,129 @@ HnswGraph::build(const PointSet &points, Metric metric,
             for (std::size_t p = 0; p < found.size() && nsel < target;
                  ++p) {
                 if (found[p].index != node &&
-                    std::find(selected.begin(), selected.begin() + nsel,
-                              found[p].index) ==
-                        selected.begin() + nsel)
+                    std::find(selected, selected + nsel, found[p].index) ==
+                        selected + nsel)
                     take(p);
             }
-            std::copy_n(selected.begin(), nsel, row(ul, node));
-            std::copy_n(selected_d.begin(), nsel, rowDist(ul, node));
-            // Each selected row takes a backward edge next: start
-            // fetching them all.
-            for (unsigned s = 0; s < nsel; ++s) {
-                const std::uint32_t x = selected[s];
-                prefetchRange(row(ul, x), target * sizeof(std::uint32_t));
-                prefetchRange(rowDist(ul, x), target * sizeof(float));
-                prefetchRange(row_pairs[ul][x].get(),
-                              RowPairs::floats(target) * sizeof(float));
-            }
-            for (unsigned s = 0; s < nsel; ++s)
-                connect(ul, selected[s], node, selected_d[s]);
+            x.nsel[ul] = nsel;
             if (!found.empty())
                 cur = found.front().index == node && found.size() > 1
                     ? found[1].index
                     : found.front().index;
         }
+    };
+
+    // The last round that wrote each (layer, row), at layer * n + row.
+    std::vector<std::uint32_t> written((max_level + 1) * n, 0);
+    std::uint32_t round = 0;
+    auto key = [n](unsigned l, std::uint32_t node) {
+        return static_cast<std::size_t>(l) * n + node;
+    };
+
+    // A backward edge waiting to be applied.
+    struct Edge
+    {
+        std::uint32_t from;
+        std::uint32_t to;
+        float d; //!< dist(from, to)
+        unsigned layer;
+        const Insertion *newcomer; //!< to's insertion
+    };
+    std::vector<Edge> edges;
+
+    // Commit an insertion: write its rows and queue its backward edges,
+    // marking every row either writes as written this round.
+    auto commit = [&](Insertion &x) {
+        const std::uint32_t node = x.node;
+        for (int l = static_cast<int>(level[node]); l >= 0; --l) {
+            const auto ul = static_cast<unsigned>(l);
+            const unsigned nsel = x.nsel[ul];
+            const std::uint32_t *selected = x.selected.data() + ul * max_deg;
+            const float *selected_d = x.selected_d.data() + ul * max_deg;
+            std::copy_n(selected, nsel, row(ul, node));
+            std::copy_n(selected_d, nsel, rowDist(ul, node));
+            row_pairs[ul][node] = std::move(x.pairs[ul]);
+            written[key(ul, node)] = round;
+            for (unsigned s = 0; s < nsel; ++s) {
+                written[key(ul, selected[s])] = round;
+                edges.push_back({selected[s], node, selected_d[s], ul, &x});
+            }
+        }
+    };
+
+    // Apply the queued edges on the team, split by target row: the one
+    // thread that owns a row applies its edges in queue order, which is
+    // node order, so every row ends as the serial loop leaves it.
+    HelperTeam team;
+    std::deque<ConnectScratch> connectors;
+    auto applyEdges = [&] {
+        const unsigned threads = 1 + team.held();
+        while (connectors.size() < threads)
+            connectors.emplace_back(max_deg);
+        auto owner = [&](const Edge &e) {
+            const std::uint64_t h =
+                key(e.layer, e.from) * 0x9e3779b97f4a7c15ull;
+            return static_cast<unsigned>((h >> 32) % threads);
+        };
+        team.run([&](unsigned t) {
+            // Each of the thread's rows takes an edge next: start
+            // fetching them all.
+            for (const Edge &e : edges) {
+                if (owner(e) != t)
+                    continue;
+                const unsigned deg = g.layerDegree(e.layer);
+                prefetchRange(row(e.layer, e.from),
+                              deg * sizeof(std::uint32_t));
+                prefetchRange(rowDist(e.layer, e.from),
+                              deg * sizeof(float));
+                prefetchRange(row_pairs[e.layer][e.from].get(),
+                              RowPairs::floats(deg) * sizeof(float));
+            }
+            for (const Edge &e : edges) {
+                if (owner(e) == t)
+                    connect(connectors[t], e.layer, e.from, e.to, e.d,
+                            e.newcomer->search);
+            }
+        });
+        edges.clear();
+    };
+
+    // Incremental insertion, in rounds of one node per thread: the
+    // caller plus the helpers the team holds, re-claimed every round
+    // (a round of one node is the plain serial loop). Every node of a
+    // round searches the graph as the round found it; then, in node
+    // order, a node is searched again if an earlier node of the round
+    // wrote a row its searches expanded, once the earlier nodes' edges
+    // are applied, and committed. A search reads only the rows it
+    // expands, so a node that passes saw the graph the serial loop
+    // shows it and made the serial selection; and it selected no node
+    // of its round, for it could only have reached one through a row
+    // that node wrote.
+    std::deque<Insertion> slots;
+    for (std::size_t i = 1; i < n;) {
+        const unsigned count =
+            1 + team.claim(static_cast<unsigned>(std::min<std::size_t>(
+                    n - i - 1, team.maxHelpers())));
+        while (slots.size() < count)
+            slots.emplace_back(n, max_deg);
+        for (unsigned w = 0; w < count; ++w)
+            slots[w].node = static_cast<std::uint32_t>(i + w);
+        team.run([&](unsigned t) { search(slots[t]); });
+        ++round;
+        for (unsigned w = 0; w < count; ++w) {
+            Insertion &x = slots[w];
+            const std::vector<std::size_t> &read = x.search.expanded;
+            if (w > 0 && std::any_of(read.begin(), read.end(),
+                                     [&](std::size_t k) {
+                                         return written[k] == round;
+                                     })) {
+                applyEdges();
+                search(x);
+            }
+            commit(x);
+        }
+        applyEdges();
+        i += count;
     }
     return g;
 }
@@ -746,6 +909,7 @@ HnswGraph::greedyStep(unsigned layer, std::uint32_t start,
     float cur_d = 0.0f;
     distances(query, query_norm, &cur, 1, &cur_d);
     for (;;) {
+        s.expand(layer, cur);
         const std::uint32_t *nbrs = neighbors(layer, cur);
         unsigned m = 0;
         while (m < deg && nbrs[m] != kNoNeighbor)
@@ -794,6 +958,7 @@ HnswGraph::searchLayer(unsigned layer, std::uint32_t entry,
         open.pop_back();
         if (d > best.front().first && best.size() >= ef)
             break;
+        s.expand(layer, node);
         const std::uint32_t *nbrs = neighbors(layer, node);
         unsigned m = 0;
         for (unsigned j = 0; j < deg && nbrs[j] != kNoNeighbor; ++j) {

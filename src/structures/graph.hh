@@ -86,7 +86,19 @@ class HnswGraph
     /** Sentinel padding for unused neighbor slots. */
     static constexpr std::uint32_t kNoNeighbor = 0xffffffffu;
 
-    /** Build over @p points (must outlive the graph). */
+    /**
+     * Build over @p points (must outlive the graph). Nodes are inserted
+     * in rounds of one node per thread: the caller plus the helper
+     * threads a HelperTeam (common/threadpool.hh) lets it claim from
+     * the process's thread budget, re-claimed every round. Each round's
+     * nodes search the graph as the round found it, in parallel; the
+     * caller then commits them in node order, searching a node again
+     * when an earlier node of the round wrote a row its searches read,
+     * and the round's backward edges are applied in parallel, each row
+     * by one thread in node order. The graph is bit-identical to the
+     * serial build's at every thread count; with HSU_JOBS=1, or when
+     * every worker is busy, each round is one node on the caller.
+     */
     static HnswGraph build(const PointSet &points, Metric metric,
                            const HnswParams &params = HnswParams{});
 
@@ -144,8 +156,8 @@ class HnswGraph
 
   private:
     /** Working memory of one search (visited epochs, heaps, result);
-     *  build reuses one across insertions, each knn call owns its own,
-     *  so the graph itself holds nothing mutable. */
+     *  build keeps one per insertion in flight, each knn call owns its
+     *  own, so the graph itself holds nothing mutable. */
     struct SearchScratch;
 
     /** The metric's norm of @p query (0 for Euclidean). */

@@ -1,16 +1,21 @@
 /**
  * @file
  * Hierarchical graph (GGNN/HNSW-style) tests: structural invariants,
- * recall against brute force, determinism, and both metrics.
+ * recall against brute force, determinism, both metrics, and the
+ * parallel build's bit-identity and thread budget.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
+#include <latch>
+#include <string>
 #include <thread>
 
 #include "../test_util.hh"
+#include "common/threadpool.hh"
 #include "structures/graph.hh"
 #include "workloads/datasets.hh"
 
@@ -178,6 +183,9 @@ datasetPrefix(DatasetId id, std::size_t count)
 // degree a new row starts part-empty and takes backward edges into
 // slots its selection never saw before its first re-selection, and
 // small degrees overflow rows early and often and give more layers.
+// Each case is built serially and in rounds of 2 and 4 threads
+// (HSU_JOBS 1, 2, 4; fewer where the host has fewer hardware threads);
+// the small-degree cases search many nodes of a round again.
 TEST(HnswGraph, BuildIsBitIdenticalToReference)
 {
     struct Case
@@ -219,11 +227,138 @@ TEST(HnswGraph, BuildIsBitIdenticalToReference)
          test::randomCloud(1500, 12, 99), test::randomCloud(4, 12, 100),
          Metric::Angular, 0x56491fcdb52d4143ull, small_degree},
     };
-    for (const Case &c : cases) {
-        const HnswGraph g = HnswGraph::build(c.points, c.metric, c.params);
-        const std::uint64_t got = graphDigest(g, c.queries);
-        EXPECT_EQ(got, c.digest) << c.name << ": 0x" << std::hex << got;
+    for (const char *jobs : {"1", "2", "4"}) {
+        const test::ScopedEnv env("HSU_JOBS", jobs);
+        for (const Case &c : cases) {
+            const HnswGraph g =
+                HnswGraph::build(c.points, c.metric, c.params);
+            const std::uint64_t got = graphDigest(g, c.queries);
+            EXPECT_EQ(got, c.digest) << c.name << " at HSU_JOBS=" << jobs
+                                     << ": 0x" << std::hex << got;
+        }
     }
+}
+
+/** Whether @p a and @p b have the same entry point, members and rows. */
+bool
+sameGraph(const HnswGraph &a, const HnswGraph &b)
+{
+    if (a.entryPoint() != b.entryPoint() ||
+        a.numLayers() != b.numLayers())
+        return false;
+    for (unsigned l = 0; l < a.numLayers(); ++l) {
+        if (a.layers()[l].members != b.layers()[l].members ||
+            a.layers()[l].adjacency != b.layers()[l].adjacency)
+            return false;
+    }
+    return true;
+}
+
+// Small enough for TSan (which runs it in CI): the build in rounds of 2
+// and 4 threads must yield the serial graph, and its helpers must not
+// race the caller's commits or each other's backward edges. Degrees 4/6
+// overflow rows at once, so rounds often search a node again.
+TEST(HnswGraph, ParallelBuildMatchesSerialBuild)
+{
+    const PointSet euclid = test::randomCloud(600, 8, 41);
+    const PointSet angular = test::randomCloud(400, 12, 42);
+    const HnswParams small_degree{4, 6, 8, 7};
+    struct Build
+    {
+        const PointSet &points;
+        Metric metric;
+        HnswParams params;
+    };
+    const Build builds[] = {{euclid, Metric::Euclidean, small_degree},
+                            {angular, Metric::Angular, HnswParams{}}};
+    for (const Build &b : builds) {
+        HnswGraph serial = [&] {
+            const test::ScopedEnv env("HSU_JOBS", "1");
+            return HnswGraph::build(b.points, b.metric, b.params);
+        }();
+        ASSERT_TRUE(serial.validate());
+        for (const char *jobs : {"2", "4"}) {
+            const test::ScopedEnv env("HSU_JOBS", jobs);
+            EXPECT_TRUE(sameGraph(
+                HnswGraph::build(b.points, b.metric, b.params), serial))
+                << b.points.size() << " points at HSU_JOBS=" << jobs;
+        }
+    }
+    EXPECT_EQ(runningThreads(), 0u) << "a build left a thread counted";
+}
+
+/** Raise @p peak to @p v if @p v is larger. */
+void
+raiseTo(std::atomic<unsigned> &peak, unsigned v)
+{
+    unsigned p = peak.load();
+    while (v > p && !peak.compare_exchange_weak(p, v)) {
+    }
+}
+
+/** Largest runningThreads() seen while @p build runs on this thread,
+ *  sampled by another thread the budget does not count. */
+template <typename Fn>
+unsigned
+peakRunningDuring(Fn build)
+{
+    std::atomic<bool> done{false};
+    std::atomic<unsigned> peak{0};
+    std::thread sampler([&] {
+        while (!done.load()) {
+            raiseTo(peak, runningThreads());
+            std::this_thread::yield();
+        }
+    });
+    build();
+    done = true;
+    sampler.join();
+    return peak.load();
+}
+
+TEST(HnswGraph, BuildUnderOneJobTakesNoHelper)
+{
+    const test::ScopedEnv env("HSU_JOBS", "1");
+    const PointSet pts = test::randomCloud(2000, 16, 43);
+    const unsigned peak = peakRunningDuring(
+        [&] { (void)HnswGraph::build(pts, Metric::Euclidean); });
+    EXPECT_LE(peak, 1u) << "the build counted a helper";
+}
+
+// Four pool tasks occupy four workers under a budget of four, and one
+// of them builds: its rounds must claim nothing while the other three
+// stay busy sampling the running-thread count.
+TEST(HnswGraph, BuildInBusyPoolTakesNoHelper)
+{
+    const test::ScopedEnv env("HSU_JOBS", "4");
+    const PointSet pts = test::randomCloud(2000, 16, 44);
+    const HnswGraph serial = [&] {
+        const test::ScopedEnv one("HSU_JOBS", "1");
+        return HnswGraph::build(pts, Metric::Euclidean);
+    }();
+    std::latch all_running(4);
+    std::atomic<bool> built{false}, same{false};
+    std::atomic<unsigned> peak{0};
+    {
+        ThreadPool pool(4);
+        pool.submit([&] {
+            all_running.arrive_and_wait();
+            same = sameGraph(HnswGraph::build(pts, Metric::Euclidean),
+                             serial);
+            built = true;
+        });
+        for (int i = 0; i < 3; ++i) {
+            pool.submit([&] {
+                all_running.arrive_and_wait();
+                while (!built.load()) {
+                    raiseTo(peak, runningThreads());
+                    std::this_thread::yield();
+                }
+            });
+        }
+    }
+    EXPECT_TRUE(same.load());
+    EXPECT_LE(peak.load(), 4u) << "the build claimed a busy worker";
 }
 
 // metricDistBatch must equal metricDist bit for bit. The uint32

@@ -1,13 +1,15 @@
 /**
  * @file
- * Shared helpers for the test suite: trace well-formedness checking and
- * small deterministic data generators.
+ * Shared helpers for the test suite: trace well-formedness checking,
+ * small deterministic data generators and a scoped environment variable.
  */
 
 #ifndef HSU_TESTS_TEST_UTIL_HH
 #define HSU_TESTS_TEST_UTIL_HH
 
 #include <algorithm>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -111,6 +113,35 @@ bruteKnn(const PointSet &pts, const float *q, unsigned k)
         all.resize(k);
     return all;
 }
+
+/** Sets environment variable @p name for its lifetime (unsets it when
+ *  @p value is null), then restores what it was. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            old_ = old;
+        set(value);
+    }
+    ~ScopedEnv() { set(old_ ? old_->c_str() : nullptr); }
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    void
+    set(const char *value)
+    {
+        if (value)
+            setenv(name_, value, 1);
+        else
+            unsetenv(name_);
+    }
+
+    const char *name_;
+    std::optional<std::string> old_;
+};
 
 } // namespace hsu::test
 
