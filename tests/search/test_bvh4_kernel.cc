@@ -86,7 +86,7 @@ TEST(Bvh4Kernel, FewerWiderNodeFetches)
     }
 }
 
-TEST(Bvh4Kernel, BaselineVariantAgreesToo)
+TEST(Bvh4Kernel, BaselineLoweringHasNoHsuOps)
 {
     const float r = 0.6f;
     const PointSet pts = test::randomCloud(300, 3, 45);

@@ -52,7 +52,7 @@ TEST(BvhnnKernel, MatchesBruteForceRadiusNN)
     }
 }
 
-TEST(BvhnnKernel, VariantsAgreeAndDifferInOps)
+TEST(BvhnnKernel, HsuLoweringTradesLoadsForHsuOps)
 {
     const PointSet pts = test::randomCloud(400, 3, 23);
     const float r = 0.6f;
@@ -85,7 +85,7 @@ TEST(FlannKernel, MatchesBruteForce1NN)
     }
 }
 
-TEST(FlannKernel, VariantsAgree)
+TEST(FlannKernel, BaselineLoweringIsWellFormed)
 {
     const PointSet pts = test::randomCloud(500, 3, 27);
     const KdTree tree = KdTree::build(pts, 16);
@@ -177,7 +177,7 @@ TEST(BtreeKernel, LookupsMatchTree)
     EXPECT_EQ(test::countOps(base, OpType::HsuOp), 0u);
 }
 
-TEST(RtindexKernel, BothVariantsFindExactlyPresentKeys)
+TEST(RtindexKernel, BothKeyFormsFindExactlyPresentKeys)
 {
     Rng rng(34);
     std::vector<std::uint32_t> keys;
