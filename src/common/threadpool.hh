@@ -146,8 +146,9 @@ parallelMap(std::size_t n, Fn fn, unsigned num_threads = 0)
  * teams that start together on a busy pool hold none. A team holding no
  * helper runs every phase on its owner alone and starts no thread.
  *
- * Helper threads start when a phase first needs them and are joined by
- * the destructor. Each helper has its own wake-up word: run() posts the
+ * Helper threads start when a phase first needs them, each moving off
+ * its owner's CPU to a different one, and are joined by the
+ * destructor. Each helper has its own wake-up word: run() posts the
  * phase to the helpers it holds, and a helper it does not hold is never
  * woken. A waiting thread (a helper between phases, or the owner
  * waiting for the helpers to finish) spins for a few tens of
