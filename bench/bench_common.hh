@@ -62,18 +62,6 @@ allWorkloads()
     return out;
 }
 
-/**
- * Run the paper's full workload fleet (Fig 9 order) through the
- * parallel executor under the default GPU, honoring HSU_QUICK and
- * HSU_JOBS. Results come back in allWorkloads() order.
- */
-inline std::vector<WorkloadResult>
-runAllWorkloads()
-{
-    return runWorkloadsParallel(allWorkloads(), defaultGpu(),
-                                quickScale());
-}
-
 /** Geometric-mean helper for summary rows. Non-positive entries have
  *  no logarithm; they are skipped (with a warning) rather than poisoning
  *  the whole mean with a NaN, which matters when a degenerate sweep

@@ -279,8 +279,9 @@ TEST(Determinism, ParallelRunnerMatchesSerial)
     tiny.pointQueries = 64;
     tiny.keyQueries = 64;
 
-    // Each workload twice: a full baseline + HSU pair, then its HSU
-    // side alone (only hsu/hsuStats filled), in one interleaved fleet.
+    // Each workload three times: a full baseline + HSU pair, then its
+    // HSU side alone (only hsu/hsuStats filled), then its baseline side
+    // alone (only base/baseStats), in one interleaved fleet.
     const std::pair<Algo, DatasetId> work[] = {
         {Algo::Btree, DatasetId::BTree10k},
         {Algo::Bvhnn, DatasetId::Random10k},
@@ -288,31 +289,42 @@ TEST(Determinism, ParallelRunnerMatchesSerial)
         {Algo::Ggnn, DatasetId::Sift10k},
     };
     const std::vector<WorkloadResult> par = parallelMap(
-        2 * std::size(work),
+        3 * std::size(work),
         [&](std::size_t i) {
-            const auto &[algo, id] = work[i / 2];
-            if (i % 2 == 0)
+            const auto &[algo, id] = work[i / 3];
+            if (i % 3 == 0)
                 return runWorkload(algo, id, gpu, tiny);
             WorkloadResult r;
-            r.hsu = runHsuOnly(algo, id, gpu, tiny, r.hsuStats);
+            if (i % 3 == 1)
+                r.hsu = runHsuOnly(algo, id, gpu, tiny, r.hsuStats);
+            else
+                r.base = runBaseOnly(algo, id, gpu, tiny, r.baseStats);
             return r;
         },
         4);
-    ASSERT_EQ(par.size(), 2 * std::size(work));
+    ASSERT_EQ(par.size(), 3 * std::size(work));
     for (std::size_t i = 0; i < par.size(); ++i) {
-        const auto &[algo, id] = work[i / 2];
-        if (i % 2 == 0) {
+        const auto &[algo, id] = work[i / 3];
+        if (i % 3 == 0) {
             const WorkloadResult serial = runWorkload(algo, id, gpu, tiny);
             EXPECT_EQ(serial.base.cycles, par[i].base.cycles);
             EXPECT_EQ(serial.hsu.cycles, par[i].hsu.cycles);
             expectSameDump(serial.baseStats, par[i].baseStats);
             expectSameDump(serial.hsuStats, par[i].hsuStats);
-        } else {
+        } else if (i % 3 == 1) {
             StatGroup stats;
             const RunResult serial =
                 runHsuOnly(algo, id, gpu, tiny, stats);
             EXPECT_EQ(serial.cycles, par[i].hsu.cycles);
             expectSameDump(stats, par[i].hsuStats);
+        } else {
+            StatGroup stats;
+            const RunResult serial =
+                runBaseOnly(algo, id, gpu, tiny, stats);
+            EXPECT_EQ(serial.cycles, par[i].base.cycles);
+            EXPECT_EQ(serial.offloadableFraction,
+                      par[i].base.offloadableFraction);
+            expectSameDump(stats, par[i].baseStats);
         }
     }
 }
