@@ -16,6 +16,8 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/phase_timer.hh"
@@ -58,6 +60,41 @@ allWorkloads()
          {Algo::Ggnn, Algo::Flann, Algo::Bvhnn, Algo::Btree}) {
         for (const DatasetId id : datasetsForAlgo(algo))
             out.emplace_back(algo, id);
+    }
+    return out;
+}
+
+/**
+ * A sensitivity sweep: for each (algo, dataset) case, one baseline run
+ * under defaultGpu() and one HSU run per config in @p variants, all in
+ * one parallelMap honoring HSU_QUICK and HSU_JOBS. Returns, per case,
+ * the baseline's cycles over each variant's cycles, in variant order.
+ *
+ * The runs fan out case-major, each case's baseline first, so a case's
+ * runs are in flight together and share one emission.
+ */
+inline std::vector<std::vector<double>>
+sweepSpeedups(const std::vector<std::pair<Algo, DatasetId>> &cases,
+              const std::vector<GpuConfig> &variants)
+{
+    const std::size_t runs = 1 + variants.size();
+    const std::vector<RunResult> res =
+        parallelMap(cases.size() * runs, [&](std::size_t i) {
+            const auto &[algo, id] = cases[i / runs];
+            const RunnerOptions opts = benchOptions(datasetInfo(id));
+            StatGroup stats;
+            if (i % runs == 0)
+                return runBaseOnly(algo, id, defaultGpu(), opts, stats);
+            return runHsuOnly(algo, id, variants[i % runs - 1], opts,
+                              stats);
+        });
+
+    std::vector<std::vector<double>> out(cases.size());
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        const double base = static_cast<double>(res[c * runs].cycles);
+        for (std::size_t v = 1; v < runs; ++v)
+            out[c].push_back(base /
+                             static_cast<double>(res[c * runs + v].cycles));
     }
     return out;
 }

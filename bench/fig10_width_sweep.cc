@@ -18,34 +18,22 @@ main()
     Table t("Fig 10: GGNN speedup vs non-RT baseline at datapath widths",
             {"Dataset", "w=4", "w=8", "w=16", "w=32"});
 
-    // One baseline + four HSU runs per dataset, all independent: fan
-    // the whole sweep across the pool and consume by index.
-    const std::vector<DatasetId> ids = datasetsForAlgo(Algo::Ggnn);
-    const std::size_t runs = 1 + std::size(widths);
-    const std::vector<RunResult> res =
-        parallelMap(ids.size() * runs, [&](std::size_t i) {
-            const DatasetId id = ids[i / runs];
-            const RunnerOptions opts =
-                bench::benchOptions(datasetInfo(id));
-            GpuConfig gpu = bench::defaultGpu();
-            StatGroup stats;
-            if (i % runs == 0)
-                return runBaseOnly(Algo::Ggnn, id, gpu, opts, stats);
-            gpu.datapath.euclidWidth = widths[i % runs - 1];
-            return runHsuOnly(Algo::Ggnn, id, gpu, opts, stats);
-        });
+    std::vector<std::pair<Algo, DatasetId>> cases;
+    for (const DatasetId id : datasetsForAlgo(Algo::Ggnn))
+        cases.emplace_back(Algo::Ggnn, id);
+    std::vector<GpuConfig> variants;
+    for (const unsigned w : widths) {
+        GpuConfig gpu = bench::defaultGpu();
+        gpu.datapath.euclidWidth = w;
+        variants.push_back(gpu);
+    }
 
-    std::size_t k = 0;
-    for (const DatasetId id : ids) {
-        const RunResult &base = res[k++];
-        std::vector<std::string> row{datasetInfo(id).abbr};
-        for (std::size_t w = 0; w < std::size(widths); ++w) {
-            const RunResult &hsu = res[k++];
-            row.push_back(Table::num(
-                static_cast<double>(base.cycles) /
-                    static_cast<double>(hsu.cycles),
-                3));
-        }
+    const std::vector<std::vector<double>> speedups =
+        bench::sweepSpeedups(cases, variants);
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        std::vector<std::string> row{datasetInfo(cases[c].second).abbr};
+        for (const double s : speedups[c])
+            row.push_back(Table::num(s, 3));
         t.addRow(std::move(row));
     }
     t.print(std::cout);

@@ -20,33 +20,23 @@ sweep(Algo algo, const char *title)
     const unsigned sizes[] = {1, 4, 8, 16};
     Table t(title, {"Dataset", "wb=1", "wb=4", "wb=8", "wb=16"});
 
-    const std::vector<DatasetId> ids = datasetsForAlgo(algo);
-    const std::size_t runs = 1 + std::size(sizes);
-    const std::vector<RunResult> res =
-        parallelMap(ids.size() * runs, [&](std::size_t i) {
-            const DatasetId id = ids[i / runs];
-            const RunnerOptions opts =
-                bench::benchOptions(datasetInfo(id));
-            GpuConfig gpu = bench::defaultGpu();
-            StatGroup stats;
-            if (i % runs == 0)
-                return runBaseOnly(algo, id, gpu, opts, stats);
-            gpu.warpBufferSize = sizes[i % runs - 1];
-            return runHsuOnly(algo, id, gpu, opts, stats);
-        });
+    std::vector<std::pair<Algo, DatasetId>> cases;
+    for (const DatasetId id : datasetsForAlgo(algo))
+        cases.emplace_back(algo, id);
+    std::vector<GpuConfig> variants;
+    for (const unsigned size : sizes) {
+        GpuConfig gpu = bench::defaultGpu();
+        gpu.warpBufferSize = size;
+        variants.push_back(gpu);
+    }
 
-    std::size_t k = 0;
-    for (const DatasetId id : ids) {
-        const RunResult &base = res[k++];
+    const std::vector<std::vector<double>> speedups =
+        bench::sweepSpeedups(cases, variants);
+    for (std::size_t c = 0; c < cases.size(); ++c) {
         std::vector<std::string> row{
-            workloadLabel(algo, datasetInfo(id))};
-        for (std::size_t s = 0; s < std::size(sizes); ++s) {
-            const RunResult &hsu = res[k++];
-            row.push_back(Table::num(
-                static_cast<double>(base.cycles) /
-                    static_cast<double>(hsu.cycles),
-                3));
-        }
+            workloadLabel(algo, datasetInfo(cases[c].second))};
+        for (const double s : speedups[c])
+            row.push_back(Table::num(s, 3));
         t.addRow(std::move(row));
     }
     t.print(std::cout);
